@@ -52,7 +52,7 @@
 //! - `HAAC_AES_BACKEND=portable|aesni|neon` pins the AES backend (the
 //!   CI smoke job forces `portable`).
 //! - `HAAC_PIPELINE_REPS` — measurement repetitions (default 3, best
-//!   kept).
+//!   kept; the OT rows run at least 5 and keep the median).
 //! - `HAAC_LINK_GBPS` — modeled link bandwidth (default 1.0).
 //! - `HAAC_LINK_LATENCY_US` — modeled per-flush latency (default 40).
 //! - `HAAC_ENGINES` — pooled-garbling engine count (default
@@ -65,6 +65,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use haac_bench::median;
 use haac_circuit::{Builder, Circuit};
 use haac_core::lower_for_streaming;
 use haac_gc::{garble_plan_in, EnginePool, HashScheme, StreamingGarbler};
@@ -218,6 +219,15 @@ fn telemetry_overhead_bench(reps: usize) -> TelemetryOverheadBench {
     }
 }
 
+/// Repetitions behind each OT row's median labels/s.
+const OT_REPS: usize = 5;
+
+/// Floor on [`OtBench::speedup`] on a native AES backend: the low end
+/// of the measured range. Medians of [`OT_REPS`] sessions read
+/// 10.7–12.5× over 8 runs on a 2-vCPU AES-NI VM (best-of-3 read
+/// 10.2–11.0× before the fused re-keyed hash).
+const OT_EXT_SPEEDUP_FLOOR: f64 = 10.5;
+
 /// The input phase priced both ways on a wide (≥ 4096 evaluator
 /// inputs) circuit: one Chou–Orlandi public-key OT per input vs the
 /// IKNP-style extension (a constant κ = 128 base OTs bootstrapping the
@@ -231,22 +241,22 @@ fn telemetry_overhead_bench(reps: usize) -> TelemetryOverheadBench {
 struct OtBench {
     /// Evaluator inputs = OTs the input phase must deliver.
     evaluator_inputs: usize,
-    /// Labels/s of the per-input Chou–Orlandi baseline.
+    /// Median labels/s of the per-input Chou–Orlandi baseline.
     base_ots_per_sec: f64,
     /// Public-key OTs the baseline performed (= evaluator_inputs).
     base_mode_base_ots: u64,
-    /// Labels/s of the extended input phase.
+    /// Median labels/s of the extended input phase.
     extended_ots_per_sec: f64,
     /// Public-key OTs the extension performed — gated ≤ 256.
     extended_base_ots: u64,
     /// Symmetric-crypto OTs the extension delivered.
     extended_ext_ots: u64,
-    /// `extended / base` labels/s — gated ≥ 10 on a native AES
-    /// backend (portable-AES runs record the row without gating: the
-    /// extension's symmetric work is exactly what bit-sliced software
-    /// AES makes slow).
+    /// `extended / base` labels/s — gated ≥ [`OT_EXT_SPEEDUP_FLOOR`]
+    /// on a native AES backend (portable-AES runs record the row
+    /// without gating: the extension's symmetric work is exactly what
+    /// bit-sliced software AES makes slow).
     speedup: f64,
-    /// Whether the 10× gate applied on this run.
+    /// Whether the speedup gate applied on this run.
     gated: bool,
 }
 
@@ -263,9 +273,9 @@ fn ot_bench(reps: usize) -> OtBench {
 
     let mut measure = |mode: OtMode| -> (f64, SessionReport) {
         let config = SessionConfig::for_circuit(&circuit).with_pipeline(false).with_ot_mode(mode);
-        let mut best_rate = 0.0f64;
+        let mut rates = Vec::new();
         let mut last = None;
-        for rep in 0..reps.max(3) as u64 {
+        for rep in 0..reps.max(OT_REPS) as u64 {
             let (g, _) =
                 run_local_session(&circuit, &garbler_bits, &evaluator_bits, 0x07E + rep, &config)
                     .expect("ot bench session");
@@ -273,10 +283,10 @@ fn ot_bench(reps: usize) -> OtBench {
                 Some(out) => assert_eq!(&g.outputs, out, "{} outputs diverge", mode.label()),
                 None => expected = Some(g.outputs.clone()),
             }
-            best_rate = best_rate.max(g.ots_per_sec());
+            rates.push(g.ots_per_sec());
             last = Some(g);
         }
-        (best_rate, last.expect("at least one rep"))
+        (median(&rates), last.expect("at least one rep"))
     };
 
     let (base_rate, base_report) = measure(OtMode::Base);
@@ -312,7 +322,7 @@ struct Report {
     /// Attached-vs-disabled telemetry cost (gated ≥ 0.95).
     telemetry_overhead: TelemetryOverheadBench,
     /// Base-OT vs IKNP-extension input phase (base-OT count gated
-    /// ≤ 256; ≥ 10× labels/s gated on native AES backends).
+    /// ≤ 256; labels/s speedup gated on native AES backends).
     ot: OtBench,
     workloads: Vec<WorkloadBench>,
 }
@@ -728,9 +738,9 @@ fn main() {
     // And it must be fast where the AES engine is real hardware.
     if report.ot.gated {
         assert!(
-            report.ot.speedup >= 10.0,
+            report.ot.speedup >= OT_EXT_SPEEDUP_FLOOR,
             "OT extension regression: extended input phase is only {:.1}x the \
-             Chou-Orlandi baseline on a native backend",
+             Chou-Orlandi baseline on a native backend (floor {OT_EXT_SPEEDUP_FLOOR})",
             report.ot.speedup
         );
     }

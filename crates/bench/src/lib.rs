@@ -165,6 +165,18 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
+/// Median of a non-empty slice (mean of the middle two for even
+/// lengths); NaN when empty.
+pub fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    match sorted.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
 /// The paper's headline configuration (16 GEs, 2 MB SWW, 4 banks/GE).
 pub fn paper_config(dram: DramKind) -> HaacConfig {
     HaacConfig { dram, ..HaacConfig::default() }

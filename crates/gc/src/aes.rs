@@ -5,7 +5,8 @@
 //! implement the same computation in custom logic. This module mirrors
 //! that split in software: a single [`Aes128`] facade dispatches to
 //!
-//! - **AES-NI** (`aesenc`/`aeskeygenassist`) on x86_64,
+//! - **AES-NI** (`aesenc`/`aesenclast`, `pshufb` for the key schedule)
+//!   on x86_64,
 //! - **ARMv8 crypto extensions** (`AESE`/`AESMC`) on aarch64,
 //! - a **portable** byte-oriented implementation everywhere — the
 //!   always-correct fallback, validated against FIPS-197 and NIST
@@ -38,7 +39,8 @@ pub(crate) type RoundKeys = [[u8; 16]; 11];
 /// Maximum independent blocks a batch kernel keeps in flight.
 ///
 /// Eight lanes cover the `aesenc` latency×throughput product of every
-/// AES-NI core shipped to date (latency ≤ 8 cycles, 1–2 issued/cycle).
+/// AES-NI core shipped to date (latency 3–8 cycles depending on the
+/// core, 1–2 issued per cycle).
 pub const MAX_LANES: usize = 8;
 
 /// An AES implementation the facade can dispatch to.
@@ -46,7 +48,7 @@ pub const MAX_LANES: usize = 8;
 pub enum AesBackend {
     /// Byte-oriented software AES; compiled everywhere, always correct.
     Portable,
-    /// x86_64 AES-NI (`aesenc` / `aeskeygenassist`).
+    /// x86_64 AES-NI (`aesenc` / `aesenclast`, with SSSE3 `pshufb`).
     AesNi,
     /// aarch64 crypto extensions (`AESE` / `AESMC`).
     Neon,
@@ -131,14 +133,7 @@ impl Aes128 {
     /// equivalence tests use this to pin a backend.
     pub fn with_backend(key: [u8; 16], backend: AesBackend) -> Aes128 {
         let backend = if backend.is_available() { backend } else { AesBackend::Portable };
-        let round_keys = match backend {
-            #[cfg(target_arch = "x86_64")]
-            AesBackend::AesNi => unsafe { aesni::expand_key(key) },
-            // aarch64 has no key-schedule instructions; the portable
-            // schedule feeds the hardware rounds.
-            _ => portable::expand_key(key),
-        };
-        Aes128 { round_keys, backend }
+        Aes128 { round_keys: expand_key(backend, key), backend }
     }
 
     /// Creates a cipher keyed by a [`Block`] (the per-gate tweak under
@@ -187,31 +182,71 @@ impl Aes128 {
     }
 }
 
-/// Expands `keys[i]` into `out[i]` on `backend`. On AES-NI the
-/// schedules run **pairwise interleaved** ([`aesni::expand_key2`]):
-/// each schedule is a serial `aeskeygenassist` chain, so overlapping
-/// two chains — the j0/j1 tweak pair of one half-gate — nearly halves
-/// the re-keying latency the paper's Fig. 2 identifies as the dominant
-/// per-gate cost.
-pub(crate) fn expand_many(backend: AesBackend, keys: &[[u8; 16]], out: &mut [RoundKeys]) {
-    debug_assert_eq!(keys.len(), out.len());
+/// Runs the AES-128 key schedule on `backend`. AES-NI computes it with
+/// the same `aesenclast` step as the fused gate hash; aarch64 has no
+/// key-schedule instructions, so the portable schedule feeds its
+/// hardware rounds.
+fn expand_key(backend: AesBackend, key: [u8; 16]) -> RoundKeys {
     match backend {
+        // SAFETY: an `Aes128`/`GateHash` only carries `AesNi` after
+        // `is_available()` confirmed AES-NI and SSSE3 on this CPU.
         #[cfg(target_arch = "x86_64")]
-        AesBackend::AesNi => {
-            let mut i = 0;
-            while i + 2 <= keys.len() {
-                let (a, b) = unsafe { aesni::expand_key2(keys[i], keys[i + 1]) };
-                out[i] = a;
-                out[i + 1] = b;
-                i += 2;
-            }
-            if i < keys.len() {
-                out[i] = unsafe { aesni::expand_key(keys[i]) };
-            }
-        }
+        AesBackend::AesNi => unsafe { aesni::expand_key(key) },
+        _ => portable::expand_key(key),
+    }
+}
+
+/// The re-keyed hash `H(x, t) = AES_t(x) ⊕ x` in place, over runs of
+/// `width` blocks sharing one tweak: `blocks[width·r + w]` is hashed
+/// under `tweaks[r]`, the low 64 bits of a little-endian AES key.
+///
+/// On AES-NI the two run shapes every caller uses — 2 blocks per tweak
+/// (garbler, OT-extension sender) and 1 (evaluator, OT-extension
+/// receiver) — go through the fused kernel [`aesni::hash_runs`], which
+/// never stores a schedule. Other widths and backends expand one
+/// schedule per run and pipeline [`MAX_LANES`] lanes through
+/// [`encrypt_lanes_rk`].
+///
+/// # Panics
+///
+/// Panics if `width` is 0 or `blocks.len() != width · tweaks.len()`.
+pub(crate) fn hash_runs(backend: AesBackend, tweaks: &[u64], width: usize, blocks: &mut [Block]) {
+    assert!(width > 0, "runs hold at least one block");
+    assert_eq!(blocks.len(), width * tweaks.len(), "{width} blocks per tweak");
+    match (backend, width) {
+        // SAFETY (both arms): `AesNi` is only selected after
+        // `is_available()` confirmed AES-NI and SSSE3; the lengths were
+        // checked above.
+        #[cfg(target_arch = "x86_64")]
+        (AesBackend::AesNi, 1) => unsafe { aesni::hash_runs::<1>(tweaks, blocks) },
+        #[cfg(target_arch = "x86_64")]
+        (AesBackend::AesNi, 2) => unsafe { aesni::hash_runs::<2>(tweaks, blocks) },
         _ => {
-            for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                *slot = portable::expand_key(*key);
+            // One schedule per run and chunk: a run that straddles two
+            // chunks is expanded in each (only widths that do not divide
+            // `MAX_LANES` can).
+            let mut scheds = [[[0u8; 16]; 11]; MAX_LANES];
+            let mut lane_sched = [0usize; MAX_LANES];
+            let mut xs = [Block::ZERO; MAX_LANES];
+            for (chunk, lanes) in blocks.chunks_mut(MAX_LANES).enumerate() {
+                let first = chunk * MAX_LANES;
+                let mut m = 0;
+                for (lane, sched) in lane_sched.iter_mut().enumerate().take(lanes.len()) {
+                    if lane == 0 || (first + lane).is_multiple_of(width) {
+                        let key = Block::from(u128::from(tweaks[(first + lane) / width]));
+                        scheds[m] = expand_key(backend, key.to_bytes());
+                        m += 1;
+                    }
+                    *sched = m - 1;
+                }
+                let n = lanes.len();
+                let refs: [&RoundKeys; MAX_LANES] =
+                    std::array::from_fn(|lane| &scheds[lane_sched[lane]]);
+                xs[..n].copy_from_slice(lanes);
+                encrypt_lanes_rk(backend, &refs[..n], lanes);
+                for (out, &x) in lanes.iter_mut().zip(&xs) {
+                    *out ^= x;
+                }
             }
         }
     }

@@ -1,33 +1,53 @@
-//! x86_64 AES-NI backend: `aeskeygenassist` key schedules and `aesenc`
-//! round pipelines.
+//! x86_64 AES-NI backend: an `aesenclast` key schedule, `aesenc` round
+//! pipelines, and the fused re-keyed gate hash.
 //!
 //! This is the software mirror of HAAC's gate-engine AES pipeline — and
-//! exactly what the paper's EMP/CPU baseline uses. One `aesenc` retires
-//! per cycle on every AES-NI core while its latency is ~3–4 cycles, so
-//! the kernels here keep several independent blocks in flight
+//! exactly what the paper's EMP/CPU baseline uses. `aesenc` has a
+//! latency of 3–8 cycles depending on the core and issues 1–2 per
+//! cycle, so the kernels here keep several independent blocks in flight
 //! ([`encrypt_lanes`]/[`encrypt_blocks`]) the way HAAC keeps its gate
 //! engines fed.
 //!
+//! Under re-keying every tweak is a fresh AES key, so the key schedule
+//! sits on the critical path of every gate. [`hash_runs`] computes each
+//! round key on the fly (`pshufb` + `aesenclast`, see
+//! [`next_round_key`]) and feeds it straight to `aesenc` on that tweak's
+//! blocks, with [`CHAINS`] tweaks' schedule chains interleaved in
+//! registers: no schedule is ever stored or reloaded.
+//!
 //! # Safety
 //!
-//! Every function is `#[target_feature(enable = "aes")]` and must only
-//! be called after `is_x86_feature_detected!("aes")` returned true —
-//! the facade's backend dispatch guarantees that.
+//! Every function is `#[target_feature(enable = "aes")]` (plus `ssse3`
+//! where it emits `pshufb`) and must only be called after [`available`]
+//! returned true — the facade's backend dispatch guarantees that.
 
 #![cfg(target_arch = "x86_64")]
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128,
-    _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi64_si128, _mm_loadu_si128,
+    _mm_set1_epi32, _mm_setzero_si128, _mm_shuffle_epi8, _mm_slli_si128, _mm_storeu_si128,
+    _mm_xor_si128,
 };
 
 use super::RoundKeys;
 use crate::block::Block;
 
-/// Whether this backend can run on the current CPU.
+/// Whether this backend can run on the current CPU. The key schedule
+/// needs `pshufb` (SSSE3) besides the AES instructions.
 pub fn available() -> bool {
-    is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2")
+    is_x86_feature_detected!("aes")
+        && is_x86_feature_detected!("sse2")
+        && is_x86_feature_detected!("ssse3")
 }
+
+/// The AES-128 round constants, rounds 1..=10.
+const RCON: [i32; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36];
+
+/// Tweaks whose schedule chains [`hash_runs`] keeps interleaved. Each
+/// round-key step is a ~6-cycle dependency chain (`pshufb` →
+/// `aesenclast` → XOR); four chains plus their 4–8 block states fill the
+/// 16 XMM registers without spilling.
+const CHAINS: usize = 4;
 
 #[inline(always)]
 unsafe fn load_rk(rks: &RoundKeys, round: usize) -> __m128i {
@@ -44,84 +64,112 @@ unsafe fn store_block(block: &mut Block, state: __m128i) {
     _mm_storeu_si128(block as *mut Block as *mut __m128i, state);
 }
 
-/// AES-128 key schedule via `aeskeygenassist` (the hardware `Key
-/// expand` of the paper's Fig. 2). Produces byte-identical round keys
-/// to the portable schedule.
+/// One step of the AES-128 key schedule: round key *r* from round key
+/// *r − 1*, `rcon` holding the round constant in every 32-bit word.
+///
+/// `pshufb` copies `RotWord(w3)` into all four columns. With equal
+/// columns `ShiftRows` is the identity, so `aesenclast` against `rcon`
+/// leaves `SubWord(RotWord(w3)) ⊕ rcon` in every word. Two shifted XORs
+/// turn `[w0, w1, w2, w3]` into its prefix XOR, and XOR-ing the two
+/// gives the next round key.
 ///
 /// # Safety
 ///
-/// Requires AES-NI (`available()` must have returned true).
-#[target_feature(enable = "aes")]
+/// Requires AES-NI and SSSE3.
+#[target_feature(enable = "aes,ssse3")]
+#[inline]
+unsafe fn next_round_key(key: __m128i, rcon: __m128i) -> __m128i {
+    let rot_word = _mm_shuffle_epi8(key, _mm_set1_epi32(0x0c0f_0e0d));
+    let sub_word = _mm_aesenclast_si128(rot_word, rcon);
+    let key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+    let key = _mm_xor_si128(key, _mm_slli_si128(key, 8));
+    _mm_xor_si128(key, sub_word)
+}
+
+/// AES-128 key schedule from the same `aesenclast` step the fused hash
+/// uses. Produces byte-identical round keys to the portable schedule.
+///
+/// # Safety
+///
+/// Requires AES-NI and SSSE3 ([`available`] must have returned true).
+#[target_feature(enable = "aes,ssse3")]
 pub unsafe fn expand_key(key: [u8; 16]) -> RoundKeys {
     let mut out = [[0u8; 16]; 11];
     let mut k = _mm_loadu_si128(key.as_ptr() as *const __m128i);
     _mm_storeu_si128(out[0].as_mut_ptr() as *mut __m128i, k);
-    macro_rules! round {
-        ($i:literal, $rcon:literal) => {{
-            let t = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(k, $rcon), 0xFF);
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-            k = _mm_xor_si128(k, t);
-            _mm_storeu_si128(out[$i].as_mut_ptr() as *mut __m128i, k);
-        }};
+    for (rk, &rcon) in out[1..].iter_mut().zip(&RCON) {
+        k = next_round_key(k, _mm_set1_epi32(rcon));
+        _mm_storeu_si128(rk.as_mut_ptr() as *mut __m128i, k);
     }
-    round!(1, 0x01);
-    round!(2, 0x02);
-    round!(3, 0x04);
-    round!(4, 0x08);
-    round!(5, 0x10);
-    round!(6, 0x20);
-    round!(7, 0x40);
-    round!(8, 0x80);
-    round!(9, 0x1B);
-    round!(10, 0x36);
     out
 }
 
-/// Expands two independent keys at once. `aeskeygenassist` has a long
-/// latency and each schedule is a serial dependency chain, so
-/// interleaving the two chains (exactly the j0/j1 tweak pair of one
-/// half-gate) nearly halves the per-gate re-keying cost.
+/// The re-keyed hash `H(x, t) = AES_t(x) ⊕ x`, in place, for runs of `W`
+/// blocks sharing one tweak: `blocks[W·r + w]` is hashed under
+/// `tweaks[r]`, whose 64 bits are the little-endian low half of the
+/// AES key. Tweaks go through the kernel [`CHAINS`] at a time.
 ///
 /// # Safety
 ///
-/// Requires AES-NI.
-#[target_feature(enable = "aes")]
-pub unsafe fn expand_key2(key0: [u8; 16], key1: [u8; 16]) -> (RoundKeys, RoundKeys) {
-    let mut out0 = [[0u8; 16]; 11];
-    let mut out1 = [[0u8; 16]; 11];
-    let mut k0 = _mm_loadu_si128(key0.as_ptr() as *const __m128i);
-    let mut k1 = _mm_loadu_si128(key1.as_ptr() as *const __m128i);
-    _mm_storeu_si128(out0[0].as_mut_ptr() as *mut __m128i, k0);
-    _mm_storeu_si128(out1[0].as_mut_ptr() as *mut __m128i, k1);
-    macro_rules! round {
-        ($i:literal, $rcon:literal) => {{
-            let t0 = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(k0, $rcon), 0xFF);
-            let t1 = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(k1, $rcon), 0xFF);
-            k0 = _mm_xor_si128(k0, _mm_slli_si128(k0, 4));
-            k1 = _mm_xor_si128(k1, _mm_slli_si128(k1, 4));
-            k0 = _mm_xor_si128(k0, _mm_slli_si128(k0, 4));
-            k1 = _mm_xor_si128(k1, _mm_slli_si128(k1, 4));
-            k0 = _mm_xor_si128(k0, _mm_slli_si128(k0, 4));
-            k1 = _mm_xor_si128(k1, _mm_slli_si128(k1, 4));
-            k0 = _mm_xor_si128(k0, t0);
-            k1 = _mm_xor_si128(k1, t1);
-            _mm_storeu_si128(out0[$i].as_mut_ptr() as *mut __m128i, k0);
-            _mm_storeu_si128(out1[$i].as_mut_ptr() as *mut __m128i, k1);
-        }};
+/// Requires AES-NI and SSSE3 ([`available`] must have returned true).
+///
+/// # Panics
+///
+/// Panics if `blocks.len() != W · tweaks.len()`.
+#[target_feature(enable = "aes,ssse3")]
+pub unsafe fn hash_runs<const W: usize>(tweaks: &[u64], blocks: &mut [Block]) {
+    assert_eq!(blocks.len(), W * tweaks.len(), "{W} blocks per tweak");
+    let mut groups = blocks.chunks_exact_mut(CHAINS * W);
+    let mut tweak_groups = tweaks.chunks_exact(CHAINS);
+    for (group, ts) in groups.by_ref().zip(tweak_groups.by_ref()) {
+        hash_group::<CHAINS, W>(ts, group);
     }
-    round!(1, 0x01);
-    round!(2, 0x02);
-    round!(3, 0x04);
-    round!(4, 0x08);
-    round!(5, 0x10);
-    round!(6, 0x20);
-    round!(7, 0x40);
-    round!(8, 0x80);
-    round!(9, 0x1B);
-    round!(10, 0x36);
-    (out0, out1)
+    let (ts, rest) = (tweak_groups.remainder(), groups.into_remainder());
+    match ts.len() {
+        0 => {}
+        1 => hash_group::<1, W>(ts, rest),
+        2 => hash_group::<2, W>(ts, rest),
+        3 => hash_group::<3, W>(ts, rest),
+        _ => unreachable!("remainder of a {CHAINS}-tweak chunking"),
+    }
+}
+
+/// The fused kernel: `T` tweaks × `W` blocks, every round key computed
+/// on the fly and used at once by `aesenc`.
+///
+/// # Safety
+///
+/// Requires AES-NI and SSSE3.
+#[target_feature(enable = "aes,ssse3")]
+#[inline]
+unsafe fn hash_group<const T: usize, const W: usize>(tweaks: &[u64], blocks: &mut [Block]) {
+    assert!(tweaks.len() == T && blocks.len() == T * W);
+    let mut keys = [_mm_setzero_si128(); T];
+    let mut state = [[_mm_setzero_si128(); W]; T];
+    for t in 0..T {
+        keys[t] = _mm_cvtsi64_si128(tweaks[t] as i64);
+        for w in 0..W {
+            state[t][w] = _mm_xor_si128(load_block(&blocks[t * W + w]), keys[t]);
+        }
+    }
+    for &rcon in &RCON[..9] {
+        let rcon = _mm_set1_epi32(rcon);
+        for t in 0..T {
+            keys[t] = next_round_key(keys[t], rcon);
+            for s in state[t].iter_mut() {
+                *s = _mm_aesenc_si128(*s, keys[t]);
+            }
+        }
+    }
+    let rcon = _mm_set1_epi32(RCON[9]);
+    for t in 0..T {
+        keys[t] = next_round_key(keys[t], rcon);
+        for w in 0..W {
+            let block = &mut blocks[t * W + w];
+            let cipher = _mm_aesenclast_si128(state[t][w], keys[t]);
+            store_block(block, _mm_xor_si128(cipher, load_block(block)));
+        }
+    }
 }
 
 /// Encrypts up to [`super::MAX_LANES`] independent blocks in place, each

@@ -102,9 +102,8 @@ pub fn garble_and(
     let j1 = 2 * tweak_base + 1;
     let pa = w0a.lsb();
     let pb = w0b.lsb();
-    let xs = [w0a, w0a ^ delta.block(), w0b, w0b ^ delta.block()];
-    let mut h = [Block::ZERO; 4];
-    hash.hash_batch(&xs, &[j0, j0, j1, j1], &mut h);
+    let mut h = [w0a, w0a ^ delta.block(), w0b, w0b ^ delta.block()];
+    hash.hash_runs(&mut h, 2, |r| [j0, j1][r]);
     let [ha0, ha1, hb0, hb1] = h;
     // Generator half-gate.
     let tg = ha0 ^ ha1 ^ delta.block().select(pb);
@@ -139,16 +138,17 @@ pub fn garble_and_batch(
     assert!(gates.len() <= MAX_AND_BATCH, "batch of {} exceeds {MAX_AND_BATCH}", gates.len());
     assert_eq!(gates.len(), out.len(), "one output slot per gate");
     let k = gates.len();
-    let mut xs = [Block::ZERO; 4 * MAX_AND_BATCH];
-    let mut tweaks = [0u64; 4 * MAX_AND_BATCH];
-    for (i, &(tweak_base, w0a, w0b)) in gates.iter().enumerate() {
-        xs[4 * i..4 * i + 4].copy_from_slice(&[w0a, w0a ^ delta.block(), w0b, w0b ^ delta.block()]);
-        let j0 = 2 * tweak_base;
-        let j1 = 2 * tweak_base + 1;
-        tweaks[4 * i..4 * i + 4].copy_from_slice(&[j0, j0, j1, j1]);
-    }
     let mut hashes = [Block::ZERO; 4 * MAX_AND_BATCH];
-    hash.hash_batch(&xs[..4 * k], &tweaks[..4 * k], &mut hashes[..4 * k]);
+    for (i, &(_, w0a, w0b)) in gates.iter().enumerate() {
+        hashes[4 * i..4 * i + 4].copy_from_slice(&[
+            w0a,
+            w0a ^ delta.block(),
+            w0b,
+            w0b ^ delta.block(),
+        ]);
+    }
+    // Run r is gate r/2's A side (tweak 2i) or B side (2i + 1).
+    hash.hash_runs(&mut hashes[..4 * k], 2, |r| 2 * gates[r / 2].0 + (r % 2) as u64);
     for (i, (&(_, w0a, w0b), slot)) in gates.iter().zip(out.iter_mut()).enumerate() {
         let [ha0, ha1, hb0, hb1] =
             [hashes[4 * i], hashes[4 * i + 1], hashes[4 * i + 2], hashes[4 * i + 3]];

@@ -5,23 +5,28 @@
 //! construct the AES hash. An important step here is key expansion …
 //! HAAC uses re-keying rather than fixed-key, processing full key
 //! expansions at extra computational cost"* (measured at +27.5% per
-//! half-gate; our criterion bench `gate_crypto` reproduces the shape of
-//! that claim).
+//! half-gate). On AES-NI our re-keyed `garble_and` runs at 0.98–1.13×
+//! the fixed-key rate on a 2-vCPU VM (`rekeyed_vs_fixed_key` in
+//! `BENCH_gatecrypto.json`, gated by `bench_report`): the fused kernel
+//! computes each round key next to the round that uses it, so the
+//! expansion hides behind the AES rounds (a stored `aeskeygenassist`
+//! schedule read 0.26–0.33× on the same VM).
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
-//! [`GateHash`] exposes exactly the shapes the gate ops need:
-//! [`pair`](GateHash::pair) (one key expansion, two blocks) and
-//! [`hash_batch`](GateHash::hash_batch) (N independent lanes in flight,
-//! consecutive equal tweaks sharing one expansion). Every call is
-//! metered — key expansions and AES block invocations accumulate in
-//! per-instance [`CryptoCounters`], which is how the "2 expansions per
-//! AND gate" invariant is verified rather than asserted.
+//! [`GateHash`] hashes *runs* of blocks that share one tweak and one key
+//! expansion: [`hash_runs`](GateHash::hash_runs) takes runs of one
+//! width (2 for the garbler and the OT-extension sender, 1 for the
+//! evaluator and the receiver), [`pair`](GateHash::pair) and
+//! [`hash`](GateHash::hash) are single runs, and
+//! [`hash_batch`](GateHash::hash_batch) finds the runs of consecutive
+//! equal tweaks in any tweak list. Every call is metered — key
+//! expansions and AES block invocations accumulate in per-instance
+//! [`CryptoCounters`], which is how the "2 expansions per AND gate"
+//! invariant is verified rather than asserted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::aes::{
-    active_backend, encrypt_lanes_rk, expand_many, Aes128, AesBackend, RoundKeys, MAX_LANES,
-};
+use crate::aes::{active_backend, hash_runs as hash_rekeyed_runs, Aes128, AesBackend};
 use crate::block::Block;
 
 /// Tweak namespace for **base-OT** key derivation. Gate tweaks are
@@ -138,26 +143,13 @@ impl GateHash {
         self.aes_blocks.fetch_add(blocks, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn tweak_cipher(&self, tweak: u64) -> Aes128 {
-        Aes128::with_backend(Block::from(u128::from(tweak)).to_bytes(), self.fixed.backend())
-    }
-
     /// Hashes a label under tweak `tweak` (`2·gate_index` for the A-side
-    /// hashes, `2·gate_index + 1` for the B-side, per Fig. 2).
+    /// hashes, `2·gate_index + 1` for the B-side, per Fig. 2) — a batch
+    /// of one run of one block.
     pub fn hash(&self, x: Block, tweak: u64) -> Block {
-        match self.scheme {
-            HashScheme::Rekeyed => {
-                self.meter(1, 1);
-                let aes = self.tweak_cipher(tweak);
-                aes.encrypt_block(x) ^ x
-            }
-            HashScheme::FixedKey => {
-                self.meter(0, 1);
-                let input = x ^ Block::from(u128::from(tweak));
-                self.fixed.encrypt_block(input) ^ input
-            }
-        }
+        let mut out = [x];
+        self.hash_runs(&mut out, 1, |_| tweak);
+        out[0]
     }
 
     /// Hashes two labels under **one** tweak with a single key expansion
@@ -165,15 +157,75 @@ impl GateHash {
     /// labels of one input wire. Equals `(hash(x0, t), hash(x1, t))`.
     pub fn pair(&self, x0: Block, x1: Block, tweak: u64) -> (Block, Block) {
         let mut out = [x0, x1];
-        self.hash_batch(&[x0, x1], &[tweak, tweak], &mut out);
+        self.hash_runs(&mut out, 2, |_| tweak);
         (out[0], out[1])
     }
 
-    /// Hashes `xs[i]` under `tweaks[i]` into `out[i]`, keeping up to
-    /// [`MAX_LANES`] independent AES blocks in flight. Runs of
+    /// Hashes `blocks` in place, in runs of `width` consecutive blocks
+    /// that share one tweak: `blocks[width·r + w]` becomes
+    /// `hash(blocks[width·r + w], tweak(r))`, with **one key expansion
+    /// per run**. The two shapes the gate ops and OT extension use —
+    /// `width` 2 (garbler, extension sender) and 1 (evaluator, extension
+    /// receiver) — run the fused AES-NI kernel. Tweaks are drawn from
+    /// `tweak` as the kernel needs them, so callers need not materialise
+    /// a tweak per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or does not divide `blocks.len()`.
+    pub fn hash_runs(&self, blocks: &mut [Block], width: usize, tweak: impl Fn(usize) -> u64) {
+        /// Runs (re-keyed) or blocks (fixed-key) handed to the cipher
+        /// per call, staged on the stack.
+        const CHUNK: usize = 16;
+        assert!(width > 0, "runs hold at least one block");
+        assert_eq!(
+            blocks.len() % width,
+            0,
+            "{} blocks do not split into runs of {width}",
+            blocks.len()
+        );
+        let backend = self.fixed.backend();
+        match self.scheme {
+            HashScheme::Rekeyed => {
+                let mut tweaks = [0u64; CHUNK];
+                for (chunk, lanes) in blocks.chunks_mut(CHUNK * width).enumerate() {
+                    let ts = &mut tweaks[..lanes.len() / width];
+                    for (r, t) in ts.iter_mut().enumerate() {
+                        *t = tweak(chunk * CHUNK + r);
+                    }
+                    hash_rekeyed_runs(backend, ts, width, lanes);
+                }
+                self.meter((blocks.len() / width) as u64, blocks.len() as u64);
+            }
+            HashScheme::FixedKey => {
+                // H(x, t) = AES_K(x ⊕ t) ⊕ x ⊕ t: tweak every run in
+                // place, then encrypt and fold the cipher input back in.
+                for (r, run) in blocks.chunks_mut(width).enumerate() {
+                    let t = Block::from(u128::from(tweak(r)));
+                    for b in run {
+                        *b ^= t;
+                    }
+                }
+                let mut inputs = [Block::ZERO; CHUNK];
+                for lanes in blocks.chunks_mut(CHUNK) {
+                    inputs[..lanes.len()].copy_from_slice(lanes);
+                    self.fixed.encrypt_blocks(lanes);
+                    for (b, &input) in lanes.iter_mut().zip(&inputs) {
+                        *b ^= input;
+                    }
+                }
+                self.meter(0, blocks.len() as u64);
+            }
+        }
+    }
+
+    /// Hashes `xs[i]` under `tweaks[i]` into `out[i]`. Runs of
     /// **consecutive equal tweaks share one key expansion**, which is
     /// what brings a re-keyed AND gate from four expansions down to two.
-    /// Equivalent to calling [`hash`](GateHash::hash) per lane.
+    /// A batch whose runs all have one width goes through
+    /// [`hash_runs`](GateHash::hash_runs) in one call; any other shape
+    /// run by run. Equivalent to calling [`hash`](GateHash::hash) per
+    /// lane.
     ///
     /// # Panics
     ///
@@ -181,55 +233,23 @@ impl GateHash {
     pub fn hash_batch(&self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
         assert_eq!(xs.len(), tweaks.len(), "one tweak per lane");
         assert_eq!(xs.len(), out.len(), "one output per lane");
-        match self.scheme {
-            HashScheme::Rekeyed => self.rekeyed_batch(xs, tweaks, out),
-            HashScheme::FixedKey => {
-                self.meter(0, xs.len() as u64);
-                for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
-                    *o = x ^ Block::from(u128::from(t));
-                }
-                self.fixed.encrypt_blocks(out);
-                for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
-                    *o = *o ^ x ^ Block::from(u128::from(t));
-                }
-            }
+        out.copy_from_slice(xs);
+        if xs.is_empty() {
+            return;
         }
-    }
-
-    fn rekeyed_batch(&self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
-        let backend = self.fixed.backend();
-        let mut expansions = 0u64;
-        // Chunk scratch, initialized once per call, overwritten up to
-        // `m`/`n` per chunk.
-        let mut uniq = [[0u8; 16]; MAX_LANES];
-        let mut lane_sched = [0usize; MAX_LANES];
-        let mut scheds = [[[0u8; 16]; 11]; MAX_LANES];
-        let mut start = 0usize;
-        while start < xs.len() {
-            let n = (xs.len() - start).min(MAX_LANES);
-            // Dedupe consecutive equal tweaks: one expansion per unique
-            // tweak (the AND-gate shape [j0,j0,j1,j1] expands twice).
-            let mut m = 0usize;
-            for lane in 0..n {
-                let t = tweaks[start + lane];
-                if lane == 0 || t != tweaks[start + lane - 1] {
-                    uniq[m] = Block::from(u128::from(t)).to_bytes();
-                    m += 1;
-                }
-                lane_sched[lane] = m - 1;
-            }
-            expansions += m as u64;
-            expand_many(backend, &uniq[..m], &mut scheds[..m]);
-            let refs: [&RoundKeys; MAX_LANES] =
-                std::array::from_fn(|lane| &scheds[lane_sched[lane.min(n - 1)]]);
-            out[start..start + n].copy_from_slice(&xs[start..start + n]);
-            encrypt_lanes_rk(backend, &refs[..n], &mut out[start..start + n]);
-            for lane in 0..n {
-                out[start + lane] ^= xs[start + lane];
-            }
-            start += n;
+        let run_len =
+            |start: usize| tweaks[start..].iter().take_while(|&&t| t == tweaks[start]).count();
+        let width = run_len(0);
+        if (0..tweaks.len()).step_by(width).all(|start| run_len(start) == width) {
+            self.hash_runs(out, width, |r| tweaks[r * width]);
+            return;
         }
-        self.meter(expansions, xs.len() as u64);
+        let mut start = 0;
+        while start < out.len() {
+            let len = run_len(start);
+            self.hash_runs(&mut out[start..start + len], len, |_| tweaks[start]);
+            start += len;
+        }
     }
 }
 

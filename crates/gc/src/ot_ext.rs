@@ -199,24 +199,15 @@ impl OtExtSender {
             })
             .collect();
         let q_rows = transpose_rows(&q_columns, m);
-        // Mask both branches per transfer in one batch; the [i, i] tweak
-        // shape shares one key expansion per pair.
-        let mut xs = Vec::with_capacity(2 * m);
-        let mut tweaks = Vec::with_capacity(2 * m);
-        for (i, &q) in q_rows.iter().enumerate() {
-            let tweak = OT_EXT_TWEAK | i as u64;
-            xs.push(q);
-            xs.push(q ^ self.s_block);
-            tweaks.push(tweak);
-            tweaks.push(tweak);
+        // Mask both branches of transfer i in place, as one run of two
+        // blocks under tweak i (one key expansion per pair).
+        let mut masked: Vec<[Block; 2]> = q_rows.iter().map(|&q| [q, q ^ self.s_block]).collect();
+        self.hash.hash_runs(masked.as_flattened_mut(), 2, |i| OT_EXT_TWEAK | i as u64);
+        for (row, &(m0, m1)) in masked.iter_mut().zip(pairs) {
+            row[0] ^= m0;
+            row[1] ^= m1;
         }
-        let mut masks = vec![Block::ZERO; 2 * m];
-        self.hash.hash_batch(&xs, &tweaks, &mut masks);
-        Ok(pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(m0, m1))| [m0 ^ masks[2 * i], m1 ^ masks[2 * i + 1]])
-            .collect())
+        Ok(masked)
     }
 }
 
@@ -295,15 +286,12 @@ impl OtExtReceiver {
         if ciphertexts.len() != m {
             return Err(OtError::CountMismatch { expected: m, got: ciphertexts.len() });
         }
-        let tweaks: Vec<u64> = (0..m as u64).map(|i| OT_EXT_TWEAK | i).collect();
-        let mut masks = vec![Block::ZERO; m];
-        self.hash.hash_batch(&self.t_rows, &tweaks, &mut masks);
-        Ok(ciphertexts
-            .iter()
-            .zip(&self.choices)
-            .zip(&masks)
-            .map(|((e, &c), &mask)| e[c as usize] ^ mask)
-            .collect())
+        let mut labels = self.t_rows.clone();
+        self.hash.hash_runs(&mut labels, 1, |i| OT_EXT_TWEAK | i as u64);
+        for ((label, e), &c) in labels.iter_mut().zip(ciphertexts).zip(&self.choices) {
+            *label ^= e[c as usize];
+        }
+        Ok(labels)
     }
 }
 

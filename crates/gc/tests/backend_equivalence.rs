@@ -4,8 +4,11 @@
 //! and through whole garbling transcripts.
 
 use haac_gc::aes::{active_backend, encrypt_lanes, Aes128, AesBackend};
-use haac_gc::{garble, garble_and, Block, Delta, GateHash, HashScheme};
-use rand::{rngs::StdRng, SeedableRng};
+use haac_gc::{
+    garble, garble_and, Block, CryptoCounters, Delta, GateHash, HashScheme, OT_BASE_TWEAK,
+    OT_EXT_TWEAK,
+};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn available_backends() -> Vec<AesBackend> {
     AesBackend::ALL.iter().copied().filter(|b| b.is_available()).collect()
@@ -133,6 +136,62 @@ fn gate_hash_batches_match_sequential_on_every_backend() {
 
 fn xs_pair(rng: &mut StdRng) -> (Block, Block) {
     (Block::random(rng), Block::random(rng))
+}
+
+/// The fused AES-NI re-keyed kernel against the portable cipher: random
+/// blocks, random 64-bit tweaks in the gate, base-OT and OT-extension
+/// namespaces, every length 0..=40, in four run shapes. Every lane must
+/// equal `AES_tweak(x) ⊕ x` computed portably, and the counters must
+/// meter one expansion per run and one AES block per lane.
+#[test]
+fn fused_rekeyed_kernel_matches_portable_cipher() {
+    if !AesBackend::AesNi.is_available() {
+        eprintln!("AES-NI unavailable on this CPU; fused-kernel property test skipped");
+        return;
+    }
+    let h = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::AesNi);
+    let mut rng = StdRng::seed_from_u64(0xF05E);
+    /// Maps a run's index to its width.
+    type RunWidth = fn(usize) -> usize;
+    let shapes: [(&str, RunWidth); 4] = [
+        ("all-1", |_| 1),
+        ("all-2", |_| 2),
+        ("mixed", |run| 1 + run % 2),
+        ("one run of 3", |run| if run == 0 { 3 } else { 1 }),
+    ];
+    for (shape, run_width) in shapes {
+        for len in 0..=40usize {
+            for _ in 0..8 {
+                let mut tweaks = Vec::with_capacity(len);
+                let mut runs = 0u64;
+                while tweaks.len() < len {
+                    let namespace = [0, OT_BASE_TWEAK, OT_EXT_TWEAK][rng.gen_range(0..3)];
+                    let mut tweak = namespace | (rng.gen::<u64>() & (OT_BASE_TWEAK - 1));
+                    if tweaks.last() == Some(&tweak) {
+                        tweak ^= 1;
+                    }
+                    let width = run_width(runs as usize).min(len - tweaks.len());
+                    tweaks.extend(std::iter::repeat_n(tweak, width));
+                    runs += 1;
+                }
+                let xs: Vec<Block> = (0..len).map(|_| Block::random(&mut rng)).collect();
+                let mut out = vec![Block::ZERO; len];
+                let before = h.counters();
+                h.hash_batch(&xs, &tweaks, &mut out);
+                assert_eq!(
+                    h.counters().since(before),
+                    CryptoCounters { key_expansions: runs, aes_blocks: len as u64 },
+                    "{shape} len={len}"
+                );
+                for (lane, ((&x, &tweak), &got)) in xs.iter().zip(&tweaks).zip(&out).enumerate() {
+                    let key = Block::from(u128::from(tweak)).to_bytes();
+                    let expected =
+                        Aes128::with_backend(key, AesBackend::Portable).encrypt_block(x) ^ x;
+                    assert_eq!(got, expected, "{shape} len={len} lane={lane} tweak={tweak:#x}");
+                }
+            }
+        }
+    }
 }
 
 /// A hardware-garbled AND gate is bit-identical to a portable-garbled

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use haac_runtime::{ReorderKind, SessionConfig, StreamingPlan};
 use haac_workloads::{build, Scale, Workload, WorkloadKind};
@@ -41,10 +41,17 @@ impl CachedWorkload {
     }
 }
 
+type Key = (WorkloadKind, Scale, ReorderKind);
+
+/// One key's build, filled exactly once: the first lookup builds it and
+/// concurrent lookups of the same key wait for that build instead of
+/// racing a duplicate.
+type Slot = Arc<OnceLock<Arc<CachedWorkload>>>;
+
 /// Concurrent build-once cache over `(workload, scale, reorder)`.
 #[derive(Debug, Default)]
 pub struct CircuitCache {
-    entries: Mutex<HashMap<(WorkloadKind, Scale, ReorderKind), Arc<CachedWorkload>>>,
+    entries: Mutex<HashMap<Key, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     hit_ns: AtomicU64,
@@ -57,13 +64,11 @@ impl CircuitCache {
         CircuitCache::default()
     }
 
-    /// The entry map, recovering from lock poisoning: entries are
-    /// inserted fully built (an `Arc` swap is the only mutation under
-    /// the lock), so a session that panicked while holding the guard
+    /// The slot map, recovering from lock poisoning: inserting an empty
+    /// slot is the only mutation under the lock (builds fill slots
+    /// outside it), so a session that panicked while holding the guard
     /// cannot have left a torn entry behind — serving must keep going.
-    fn entries(
-        &self,
-    ) -> MutexGuard<'_, HashMap<(WorkloadKind, Scale, ReorderKind), Arc<CachedWorkload>>> {
+    fn entries(&self) -> MutexGuard<'_, HashMap<Key, Slot>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -76,22 +81,20 @@ impl CircuitCache {
         reorder: ReorderKind,
     ) -> Arc<CachedWorkload> {
         let start = std::time::Instant::now();
-        if let Some(entry) = self.entries().get(&(kind, scale, reorder)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.hit_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return Arc::clone(entry);
-        }
-        // Build without holding the lock so a slow synthesis does not
-        // serialize unrelated sessions. A racing builder is possible and
-        // harmless: first insert wins, the duplicate is dropped.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let workload = build(kind, scale);
-        let config = SessionConfig::for_circuit_with(&workload.circuit, reorder);
-        let built = Arc::new(CachedWorkload { workload, config });
-        let mut entries = self.entries();
-        let entry = Arc::clone(entries.entry((kind, scale, reorder)).or_insert(built));
-        drop(entries);
-        self.miss_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let slot = Arc::clone(self.entries().entry((kind, scale, reorder)).or_default());
+        // Build outside the map lock so a slow synthesis does not
+        // serialize unrelated keys; lookups of this key wait for it.
+        let mut synthesized = false;
+        let entry = Arc::clone(slot.get_or_init(|| {
+            synthesized = true;
+            let workload = build(kind, scale);
+            let config = SessionConfig::for_circuit_with(&workload.circuit, reorder);
+            Arc::new(CachedWorkload { workload, config })
+        }));
+        let (count, ns) =
+            if synthesized { (&self.misses, &self.miss_ns) } else { (&self.hits, &self.hit_ns) };
+        count.fetch_add(1, Ordering::Relaxed);
+        ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         entry
     }
 
@@ -99,15 +102,16 @@ impl CircuitCache {
     /// cold/warm probe: answering never builds, so load-shed decisions
     /// cost a lock acquire, not a synthesis.
     pub fn contains(&self, kind: WorkloadKind, scale: Scale, reorder: ReorderKind) -> bool {
-        self.entries().contains_key(&(kind, scale, reorder))
+        self.entries().get(&(kind, scale, reorder)).is_some_and(|slot| slot.get().is_some())
     }
 
-    /// Lookups served from the cache so far.
+    /// Lookups served by an existing build so far (including lookups
+    /// that waited for a concurrent build of the same key).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to synthesize (including racing duplicates).
+    /// Lookups that had to synthesize: one per key.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -135,12 +139,16 @@ impl CircuitCache {
     /// capacity is never spent speculating about traffic that may never
     /// come.
     pub fn resident_keys(&self) -> Vec<(WorkloadKind, Scale, ReorderKind)> {
-        self.entries().keys().copied().collect()
+        self.entries()
+            .iter()
+            .filter(|(_, slot)| slot.get().is_some())
+            .map(|(&key, _)| key)
+            .collect()
     }
 
     /// Number of distinct prepared workloads resident.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.entries().values().filter(|slot| slot.get().is_some()).count()
     }
 
     /// Whether nothing has been cached yet.
@@ -196,6 +204,27 @@ mod tests {
         assert!(cache.contains(WorkloadKind::DotProduct, Scale::Small, ReorderKind::Baseline));
         let again = cache.get(WorkloadKind::DotProduct, Scale::Small, ReorderKind::Baseline);
         assert_eq!(again.plan().reorder, ReorderKind::Baseline);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_cold_lookups_build_once() {
+        let cache = CircuitCache::new();
+        let key = (WorkloadKind::DotProduct, Scale::Small, ReorderKind::Baseline);
+        let start = std::sync::Barrier::new(4);
+        let entries: Vec<Arc<CachedWorkload>> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get(key.0, key.1, key.2)
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|l| l.join().expect("lookup thread")).collect()
+        });
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])), "one shared build");
+        assert_eq!((cache.misses(), cache.hits()), (1, 3));
         assert_eq!(cache.len(), 1);
     }
 

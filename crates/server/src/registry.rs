@@ -45,11 +45,44 @@ struct ActiveSession {
     registered: Instant,
 }
 
+/// A finished session as the registry keeps it. The registry holds
+/// every outcome for the server's lifetime, so the report's outputs are
+/// stored packed eight to a byte: a paper-scale ReLU session's 65,536
+/// outputs take 64 KiB as `Vec<bool>` and 8 KiB packed.
+#[derive(Debug)]
+struct StoredOutcome {
+    /// The outcome with its report's `outputs` moved out.
+    outcome: SessionOutcome,
+    outputs: Vec<u8>,
+    output_bits: usize,
+}
+
+impl StoredOutcome {
+    fn pack(mut outcome: SessionOutcome) -> StoredOutcome {
+        let bits =
+            outcome.result.as_mut().map(|r| std::mem::take(&mut r.outputs)).unwrap_or_default();
+        let mut outputs = vec![0u8; bits.len().div_ceil(8)];
+        for (i, &bit) in bits.iter().enumerate() {
+            outputs[i / 8] |= u8::from(bit) << (i % 8);
+        }
+        StoredOutcome { outcome, outputs, output_bits: bits.len() }
+    }
+
+    fn unpack(&self) -> SessionOutcome {
+        let mut outcome = self.outcome.clone();
+        if let Ok(report) = &mut outcome.result {
+            report.outputs =
+                (0..self.output_bits).map(|i| (self.outputs[i / 8] >> (i % 8)) & 1 == 1).collect();
+        }
+        outcome
+    }
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     next_id: u64,
     active: HashMap<u64, ActiveSession>,
-    completed: Vec<SessionOutcome>,
+    completed: Vec<StoredOutcome>,
     /// When the first session was registered / the last one finished —
     /// the serving window aggregate throughput is measured over.
     first_registered: Option<Instant>,
@@ -113,7 +146,7 @@ impl SessionRegistry {
             elapsed: active.registered.elapsed(),
             result,
         };
-        inner.completed.push(outcome);
+        inner.completed.push(StoredOutcome::pack(outcome));
         inner.last_finished = Some(Instant::now());
         if inner.active.is_empty() {
             self.drained.notify_all();
@@ -144,7 +177,7 @@ impl SessionRegistry {
 
     /// A snapshot of every finished session.
     pub fn outcomes(&self) -> Vec<SessionOutcome> {
-        self.locked().completed.clone()
+        self.locked().completed.iter().map(StoredOutcome::unpack).collect()
     }
 
     /// Blocks until no session is in flight (or the deadline passes);
@@ -166,7 +199,7 @@ impl SessionRegistry {
     /// Aggregates the completed outcomes into a [`ServerReport`].
     pub fn report(&self) -> ServerReport {
         let inner = self.locked();
-        let completed: Vec<&SessionOutcome> = inner.completed.iter().collect();
+        let completed: Vec<&SessionOutcome> = inner.completed.iter().map(|s| &s.outcome).collect();
         let succeeded: Vec<&SessionOutcome> =
             completed.iter().copied().filter(|o| o.result.is_ok()).collect();
         let total_and_tables: u64 =
@@ -301,6 +334,27 @@ mod tests {
         assert_eq!(registry.active_sessions(), 0);
         assert!(registry.wait_drained(Duration::from_secs(1)));
         assert_eq!(registry.report().failed, 1);
+    }
+
+    #[test]
+    fn outcomes_return_the_reports_outputs_unchanged() {
+        let mut b = haac_circuit::Builder::new();
+        let x = b.input_garbler(11);
+        let y = b.input_evaluator(11);
+        let product = b.mul_words_trunc(&x, &y);
+        let circuit = b.finish(product).expect("valid circuit");
+        let config = haac_runtime::SessionConfig::for_circuit(&circuit);
+        let bits = |v: u32| (0..11).map(|i| (v >> i) & 1 == 1).collect::<Vec<bool>>();
+        let (report, _) =
+            haac_runtime::run_local_session(&circuit, &bits(37), &bits(29), 5, &config)
+                .expect("session runs");
+        assert_eq!(report.outputs, bits(37 * 29), "11 outputs: not a whole number of bytes");
+        let registry = SessionRegistry::new();
+        let id = registry.register("mul");
+        registry.complete(id, Ok(report.clone()));
+        let outcomes = registry.outcomes();
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].result, Ok(report));
     }
 
     #[test]
