@@ -108,6 +108,30 @@ impl<T: Channel + ?Sized> Channel for Box<T> {
     }
 }
 
+/// A borrowed channel is a channel, so drivers that own their channel
+/// (and may swap it on a resume) also run over a caller's `&mut C`.
+impl<T: Channel + ?Sized> Channel for &mut T {
+    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        (**self).send(bytes)
+    }
+
+    fn recv_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        (**self).recv_exact(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        (**self).flush()
+    }
+
+    fn stats(&self) -> ChannelStats {
+        (**self).stats()
+    }
+
+    fn set_io_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        (**self).set_io_deadline(timeout)
+    }
+}
+
 /// Default [`MemChannel::pair`] capacity, in flushed-but-unread
 /// messages. Each flush carries at most one table chunk (~64 KiB), so
 /// this bounds a lagging peer's backlog to a few MiB instead of letting

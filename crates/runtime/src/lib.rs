@@ -79,6 +79,7 @@
 pub mod channel;
 mod error;
 pub mod fault;
+mod ot;
 pub mod session;
 pub mod wire;
 

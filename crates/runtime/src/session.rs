@@ -10,18 +10,26 @@
 //!   stream: labels live in a flat slab indexed by window slot, with
 //!   zero per-gate hashing or retire bookkeeping and the peak residency
 //!   known statically from the plan.
-//! - **Decoupled access/execute.** The garbler splits into a compute
-//!   stage and an I/O stage joined by a bounded ring of
-//!   [`PIPELINE_DEPTH`] rotating chunk buffers:
+//! - **Decoupled access/execute.** Each role has one session driver,
+//!   and it is always pipelined. The garbler garbles on the calling
+//!   thread while a scoped I/O stage frames, sends and flushes, joined
+//!   by a bounded ring of [`PIPELINE_DEPTH`] rotating chunk buffers:
 //!   garbling chunk N+1 overlaps the send/flush of chunk N, and
-//!   symmetrically the evaluator receives chunk N+1 while evaluating
-//!   chunk N. [`SessionReport`] meters both stages (`compute_ns`,
-//!   `io_ns`) and the achieved [`overlap_ratio`](SessionReport) so the
-//!   benefit is measurable per session.
+//!   symmetrically the evaluator's receive stage takes chunk N+1 off the
+//!   wire while the calling thread evaluates chunk N. [`SessionReport`]
+//!   meters both stages (`compute_ns`, `io_ns`) and the achieved
+//!   [`overlap_ratio`](SessionReport) so the benefit is measurable per
+//!   session.
+//! - **Resume is byte replay.** Every stream frame is sequence-numbered
+//!   and kept in a bounded replay buffer until the evaluator's
+//!   cumulative ack releases it. A session that may not resume is a
+//!   resumable one whose reconnect hook always declines, so plain,
+//!   served and banked sessions all run the same two loops.
 //!
-//! The pipelined, slab-backed path is byte-identical on the wire to the
-//! serial HashMap path — same frames, same flush boundaries, same
-//! tables — which the equivalence suite checks across every workload.
+//! The slab-backed path is byte-identical on the wire to the HashMap
+//! path, and the ring depth never changes the transcript — same frames,
+//! same flush boundaries, same tables — which the equivalence suite
+//! checks across every workload.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
@@ -39,15 +47,14 @@ use rand::Rng;
 
 use crate::channel::{Channel, ChannelStats};
 use crate::error::{RuntimeError, SessionPhase};
+use crate::ot::{ot_receive, ot_receive_extended, ot_send, ot_send_extended, OtOutcome};
 use crate::wire::{
-    encode_frame, encode_tables_frame, read_message, write_message, write_tables, Message, OtMode,
-    SessionHeader,
+    encode_frame, encode_tables_frame, read_message, write_message, Message, OtMode, SessionHeader,
 };
 
-/// Default cumulative-ack cadence for resumable sessions: the evaluator
-/// acknowledges the stream cursor after every this-many table chunks,
-/// and the garbler's replay buffer is bounded at twice this many
-/// frames. Non-resumable sessions announce an interval of 0 (no acks).
+/// Default cumulative-ack cadence: the evaluator acknowledges the
+/// stream cursor after every this-many table chunks, and the garbler's
+/// replay buffer is bounded at twice this many frames.
 pub const DEFAULT_ACK_INTERVAL: u32 = 16;
 
 /// Per-phase progress deadlines a session enforces on its channel.
@@ -132,17 +139,11 @@ pub struct SessionConfig {
     /// benchmarks sweep this; `None` uses the window's slide
     /// granularity).
     pub chunk_override: Option<usize>,
-    /// Whether to overlap compute with channel I/O (decoupled stages
-    /// over a bounded ring of chunk buffers). `false` runs the legacy
-    /// strictly alternating loop; the wire bytes are identical either
-    /// way.
-    pub pipeline: bool,
-    /// Buffers in the pipelined compute/I/O ring. `None` (the default)
-    /// starts at [`PIPELINE_DEPTH`] and **autotunes** from the first
-    /// ring's measured compute/I/O imbalance (widening toward
-    /// [`MAX_PIPELINE_DEPTH`] when the I/O stage dominates), unless the
-    /// `HAAC_PIPELINE_DEPTH` environment variable pins a depth.
-    /// `Some(n)` pins it explicitly. The chosen depth is reported in
+    /// Buffers in the compute/I/O ring. `None` (the default) starts at
+    /// [`PIPELINE_DEPTH`] and **autotunes** from the first ring's
+    /// measured compute/I/O imbalance (widening toward
+    /// [`MAX_PIPELINE_DEPTH`] when the I/O stage dominates). `Some(n)`
+    /// pins it. The chosen depth is reported in
     /// [`SessionReport::pipeline_depth`].
     ///
     /// Caveat: the I/O measurement cannot distinguish a slow link from
@@ -166,12 +167,11 @@ pub struct SessionConfig {
     /// must agree — the header carries the garbler's choice and the
     /// evaluator refuses a mismatch, exactly like `reorder`.
     pub ot_mode: OtMode,
-    /// Cumulative-ack cadence a **resumable** garbler announces in its
-    /// header (clamped to at least 1 there): the evaluator acks the
-    /// stream cursor every `ack_interval` chunks, and the garbler keeps
-    /// at most `2 × ack_interval` unacked frames of replay bytes before
-    /// backpressuring on the next ack. The non-resumable drivers ignore
-    /// this and announce 0 (no acks, no replay buffer).
+    /// Cumulative-ack cadence the garbler announces in its header
+    /// (clamped to at least 1 there): the evaluator acks the stream
+    /// cursor every `ack_interval` chunks, and the garbler keeps at
+    /// most `2 × ack_interval` unacked frames of replay bytes before
+    /// backpressuring on the next ack.
     pub ack_interval: u32,
 }
 
@@ -184,7 +184,6 @@ impl SessionConfig {
             window,
             plan: None,
             chunk_override: None,
-            pipeline: true,
             pipeline_depth: None,
             telemetry: None,
             deadlines: SessionDeadlines::none(),
@@ -221,7 +220,6 @@ impl SessionConfig {
             window: plan.window,
             plan: Some(plan),
             chunk_override: None,
-            pipeline: true,
             pipeline_depth: None,
             telemetry: None,
             deadlines: SessionDeadlines::none(),
@@ -241,12 +239,6 @@ impl SessionConfig {
     pub fn with_chunk_tables(mut self, chunk_tables: usize) -> SessionConfig {
         assert!(chunk_tables > 0, "chunk size must be positive");
         self.chunk_override = Some(chunk_tables);
-        self
-    }
-
-    /// Returns the config with compute/I/O overlap switched on or off.
-    pub fn with_pipeline(mut self, pipeline: bool) -> SessionConfig {
-        self.pipeline = pipeline;
         self
     }
 
@@ -279,27 +271,21 @@ impl SessionConfig {
         self
     }
 
-    /// Returns the config with the given cumulative-ack cadence for
-    /// resumable sessions (clamped to at least 1 when used).
+    /// Returns the config with the given cumulative-ack cadence
+    /// (clamped to at least 1).
     pub fn with_ack_interval(mut self, ack_interval: u32) -> SessionConfig {
         self.ack_interval = ack_interval.max(1);
         self
     }
 
-    /// The ring depth a pipelined session starts with and whether it
-    /// may autotune wider: an explicit config depth wins, then the
-    /// `HAAC_PIPELINE_DEPTH` environment variable, then the
-    /// [`PIPELINE_DEPTH`] default with autotuning enabled.
+    /// The ring depth a session starts with and whether it may
+    /// autotune wider: a pinned depth as is, otherwise
+    /// [`PIPELINE_DEPTH`] with autotuning enabled.
     fn resolved_pipeline_depth(&self) -> (usize, bool) {
-        if let Some(depth) = self.pipeline_depth {
-            return (depth.clamp(1, MAX_PIPELINE_DEPTH), false);
+        match self.pipeline_depth {
+            Some(depth) => (depth.clamp(1, MAX_PIPELINE_DEPTH), false),
+            None => (PIPELINE_DEPTH, true),
         }
-        if let Some(depth) =
-            std::env::var("HAAC_PIPELINE_DEPTH").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            return (depth.clamp(1, MAX_PIPELINE_DEPTH), false);
-        }
-        (PIPELINE_DEPTH, true)
     }
 
     /// Tables per streamed chunk: the window's slide granularity (half
@@ -405,10 +391,10 @@ pub struct SessionReport {
     pub crypto: CryptoCounters,
     /// Nanoseconds the streaming phase spent garbling/evaluating gates.
     pub compute_ns: u64,
-    /// Nanoseconds of the streaming phase's I/O stage: channel
-    /// send/flush time on the garbler; on the evaluator, time in
-    /// blocking receives (serial loop) or the receive stage's full span
-    /// (pipelined — network waits and prefetch stalls included).
+    /// Nanoseconds of the streaming phase's I/O stage: framing,
+    /// send/flush and ack-window waits on the garbler; on the
+    /// evaluator, the receive stage's full span (network waits and
+    /// prefetch stalls included).
     pub io_ns: u64,
     /// Wall-clock nanoseconds of the whole table-streaming phase
     /// (compute and I/O together; handshake and OT excluded) — the
@@ -416,18 +402,18 @@ pub struct SessionReport {
     pub stream_ns: u64,
     /// How much of the smaller streaming stage was hidden behind the
     /// larger one: `(compute_ns + io_ns - stream_wall) /
-    /// min(compute_ns, io_ns)`, clamped to `[0, 1]`. Zero for serial
-    /// sessions; approaches 1 when the stages overlap perfectly.
+    /// min(compute_ns, io_ns)`, clamped to `[0, 1]`; approaches 1 when
+    /// the stages overlap perfectly.
     ///
     /// Interpret per role: the garbler's is strict (its `io_ns` counts
-    /// only send/flush work, so overlap means garbling genuinely ran
-    /// under the writes). The pipelined evaluator's is coverage of the
-    /// receive *stage's span* by evaluation — the span includes
+    /// only the I/O stage's own channel work, so overlap means garbling
+    /// genuinely ran under the writes). The evaluator's is coverage of
+    /// the receive *stage's span* by evaluation — the span includes
     /// network waits and prefetch-full stalls, so it is an upper bound
     /// on CPU-level overlap, not a measure of it.
     pub overlap_ratio: f64,
-    /// Chunk buffers the pipelined ring settled on (after any
-    /// autotune); 0 for serial sessions.
+    /// Chunk buffers the compute/I/O ring settled on (after any
+    /// autotune).
     pub pipeline_depth: usize,
     /// Nanoseconds of the OT phase (setup, transfer, and the wait for
     /// the peer's OT round trips), whichever mode ran.
@@ -445,16 +431,15 @@ pub struct SessionReport {
     pub ot_io_stall_ns: u64,
     /// Stall attribution, compute-bound side: nanoseconds the
     /// streaming phase's I/O stage sat idle waiting for the compute
-    /// stage to hand it the next chunk. Pipelined sessions only (0
-    /// when serial — an inline stage never waits for itself). A large
-    /// value means the session was **compute-starved**: more engines
+    /// stage to hand it the next chunk. A large value means the
+    /// session was **compute-starved**: more engines
     /// or a better schedule would help, a faster link would not.
     pub compute_stall_ns: u64,
     /// Stall attribution, I/O-bound side: nanoseconds the compute
     /// stage sat idle waiting for the I/O stage — the garbler waiting
     /// for a drained ring buffer, the evaluator waiting for the next
-    /// received chunk. Pipelined sessions only (0 when serial). A
-    /// large value means the session was **I/O-starved**: the link (or
+    /// received chunk. A large value means the session was
+    /// **I/O-starved**: the link (or
     /// the peer behind it) was the bottleneck.
     ///
     /// Together with `compute_ns` these decompose the streaming wall
@@ -466,8 +451,7 @@ pub struct SessionReport {
     /// the plan was built against a forced small window).
     pub oor_queue_peak: usize,
     /// Times this session survived a mid-stream connection loss by
-    /// resuming onto a fresh channel (0 for non-resumable drivers and
-    /// uncut sessions).
+    /// resuming onto a fresh channel (0 for uncut sessions).
     pub resumes: u64,
     /// Stream frames re-sent from the garbler's replay buffer across
     /// all resumes — every one of them was a byte replay, never a
@@ -516,7 +500,7 @@ struct StreamStats {
     /// Compute stage idle waiting for the I/O stage (see
     /// [`SessionReport::io_stall_ns`]).
     io_stall_ns: u64,
-    /// Ring depth the streaming phase ran (ended) with; 0 when serial.
+    /// Ring depth the streaming phase ran (ended) with.
     depth: usize,
 }
 
@@ -538,7 +522,7 @@ impl StreamStats {
 /// must not preallocate a huge buffer before any table exists).
 const CHUNK_BUFFER_CAP: usize = 1 << 16;
 
-fn expect_message<C: Channel + ?Sized>(
+pub(crate) fn expect_message<C: Channel + ?Sized>(
     channel: &mut C,
     expected: &'static str,
 ) -> Result<Message, RuntimeError> {
@@ -607,7 +591,9 @@ fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeErro
 
 /// Runs the garbler (Alice) side of a streaming session.
 ///
-/// Blocks until the evaluator has shared the outputs back.
+/// Blocks until the evaluator has shared the outputs back. This is
+/// [`run_garbler_resumable`] with a reconnect hook that always
+/// declines: a mid-stream transport failure is terminal.
 ///
 /// # Errors
 ///
@@ -620,6 +606,185 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
+    run_garbler_resumable(circuit, garbler_bits, rng, config, channel, |_: &RuntimeError, _| None)
+}
+
+/// Runs the garbler side of a **resumable** streaming session.
+///
+/// Every stream frame's wire bytes (table chunks and the output-decode
+/// tail, in one sequence space) are retained in a bounded replay buffer
+/// until the evaluator's periodic cumulative `ChunkAck` releases them;
+/// the buffer is capped at two ack windows (`2 × ack_interval` frames)
+/// and an I/O stage that outruns the acks blocks on the next one —
+/// backpressure, not growth. A transport failure past the retry-safety
+/// boundary ([`RuntimeError::resume_safe`]) consults the `resume`
+/// callback instead of tearing down: the callback receives the failure
+/// and the number of frames produced so far, and returns a reconnected
+/// channel plus the evaluator's requested cursor (learned from the
+/// peer's `Resume` frame, which the callback — not this driver — is
+/// expected to have consumed), or `None` to give up. Resume is byte
+/// replay: unacknowledged frames are re-sent verbatim and nothing is
+/// ever re-garbled, so the one-time-label invariant holds by
+/// construction.
+///
+/// Garbling overlaps the sends: the callback runs on the streaming
+/// phase's I/O stage (hence `Send`), while the compute stage keeps
+/// filling the ring.
+///
+/// # Errors
+///
+/// Fails on pre-stream failures (which are retry-safe, never resumed),
+/// on protocol violations, and on resumable failures once the callback
+/// declines to provide a new channel.
+pub fn run_garbler_resumable<C, R, F>(
+    circuit: &Circuit,
+    garbler_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
+    channel: C,
+    resume: F,
+) -> Result<SessionReport, RuntimeError>
+where
+    C: Channel + Send,
+    R: Rng + ?Sized,
+    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)> + Send,
+{
+    drive_garbler(circuit, garbler_bits, rng, config, channel, resume, |rng| {
+        Ok(match &config.plan {
+            Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
+            None => StreamingGarbler::new(circuit, rng, config.scheme),
+        })
+    })
+}
+
+/// Runs the garbler side of a resumable session from a **banked
+/// pre-garbled instance**: stored tables are replayed byte-for-byte
+/// while only the handshake and OT/input phase compute online. The wire
+/// protocol, ack/replay machinery, and park/resume behavior are exactly
+/// [`run_garbler_resumable`]'s — the evaluator cannot tell a banked
+/// session from an online-garbled one (and must not: the outputs are
+/// identical by construction, only Δ and the labels differ).
+///
+/// Takes the instance by value: a claimed instance is consumed whether
+/// the session succeeds or fails, so one instance can never label two
+/// evaluators (FreeXOR one-time-use, enforced by move semantics).
+///
+/// # Errors
+///
+/// Fails like [`run_garbler_resumable`], plus a protocol error when the
+/// instance's dimensions (inputs / tables / outputs) do not match
+/// `circuit` — a stale or mis-keyed bank entry is refused before any
+/// byte is streamed.
+pub fn run_garbler_banked<C, R, F>(
+    circuit: &Circuit,
+    garbler_bits: &[bool],
+    instance: PlanGarbling,
+    rng: &mut R,
+    config: &SessionConfig,
+    channel: C,
+    resume: F,
+) -> Result<SessionReport, RuntimeError>
+where
+    C: Channel + Send,
+    R: Rng + ?Sized,
+    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)> + Send,
+{
+    drive_garbler(circuit, garbler_bits, rng, config, channel, resume, |_| {
+        if instance.input_zero_labels.len() != circuit.num_inputs() as usize
+            || instance.tables.len() != circuit.num_and_gates()
+            || instance.output_decode.len() != circuit.outputs().len()
+        {
+            return Err(RuntimeError::protocol(format!(
+                "banked instance shape ({} inputs, {} tables, {} outputs) does not match the \
+                 circuit ({}, {}, {}) — stale or mis-keyed bank entry",
+                instance.input_zero_labels.len(),
+                instance.tables.len(),
+                instance.output_decode.len(),
+                circuit.num_inputs(),
+                circuit.num_and_gates(),
+                circuit.outputs().len(),
+            )));
+        }
+        Ok(BankedGarbler::new(instance))
+    })
+}
+
+/// What the garbler driver needs from a garbler: input labels until
+/// streaming starts, chunks in stream order, and a consuming finish.
+/// [`StreamingGarbler`] garbles chunks online; [`BankedGarbler`]
+/// replays them from storage — the driver cannot tell the difference,
+/// which is what keeps the two paths wire-identical.
+pub trait GarblerSource {
+    /// Active labels for the garbler's own input bits.
+    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block>;
+    /// The `(zero, one)` label pair of a primary input wire (OT fodder).
+    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block);
+    /// Produces the next chunk of up to `max_tables` tables; `false`
+    /// once the stream is exhausted.
+    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool;
+    /// Current OoRW-queue occupancy (0 for replay).
+    fn oor_queue_len(&self) -> usize;
+    /// Ends the stream, yielding the decode string and meters.
+    fn finish(self) -> GarblerFinish;
+}
+
+impl GarblerSource for StreamingGarbler<'_> {
+    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block> {
+        StreamingGarbler::garbler_input_labels(self, garbler_bits)
+    }
+    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block) {
+        StreamingGarbler::input_label_pair(self, wire)
+    }
+    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
+        StreamingGarbler::next_tables_into(self, max_tables, tables)
+    }
+    fn oor_queue_len(&self) -> usize {
+        StreamingGarbler::oor_queue_len(self)
+    }
+    fn finish(self) -> GarblerFinish {
+        StreamingGarbler::finish(self)
+    }
+}
+
+impl GarblerSource for BankedGarbler {
+    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block> {
+        BankedGarbler::garbler_input_labels(self, garbler_bits)
+    }
+    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block) {
+        BankedGarbler::input_label_pair(self, wire)
+    }
+    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
+        BankedGarbler::next_tables_into(self, max_tables, tables)
+    }
+    fn oor_queue_len(&self) -> usize {
+        BankedGarbler::oor_queue_len(self)
+    }
+    fn finish(self) -> GarblerFinish {
+        BankedGarbler::finish(self)
+    }
+}
+
+/// The one garbler driver behind every public entry point, generic over
+/// where tables come from (`source` builds an online garbler or a
+/// banked replay once the inputs and plan are checked) and over the
+/// reconnect policy: header, input labels, OT (the extended mode
+/// garbles the first ring under its round trips), the pipelined
+/// ack-bounded table stream, the decode tail, and the shared outputs.
+fn drive_garbler<G, C, R, F>(
+    circuit: &Circuit,
+    garbler_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
+    mut channel: C,
+    resume: F,
+    source: impl FnOnce(&mut R) -> Result<G, RuntimeError>,
+) -> Result<SessionReport, RuntimeError>
+where
+    G: GarblerSource + Send,
+    C: Channel + Send,
+    R: Rng + ?Sized,
+    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)> + Send,
+{
     if garbler_bits.len() != circuit.garbler_inputs() as usize {
         return Err(RuntimeError::protocol(format!(
             "garbler input width {} does not match circuit ({})",
@@ -631,35 +796,33 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
         check_plan(plan, circuit)?;
     }
     let start = Instant::now();
+    let mut garbler = source(rng)?;
     let chunk_tables = config.chunk_tables();
+    let ack_interval = config.ack_interval.max(1);
 
-    arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
-    write_message(
-        channel,
-        &Message::Header(SessionHeader {
-            garbler_inputs: circuit.garbler_inputs(),
-            evaluator_inputs: circuit.evaluator_inputs(),
-            num_gates: circuit.num_gates() as u64,
-            num_tables: circuit.num_and_gates() as u64,
-            scheme: config.scheme,
-            window_wires: config.window.sww_wires(),
-            chunk_tables: chunk_tables as u32,
-            reorder: config.reorder(),
-            ot_mode: config.ot_mode,
-            // No acks, no replay buffer: this driver cannot resume, so
-            // asking the evaluator to ack would only add traffic.
-            ack_interval: 0,
-        }),
-    )
+    arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
+    (|| -> Result<(), RuntimeError> {
+        write_message(
+            &mut channel,
+            &Message::Header(SessionHeader {
+                garbler_inputs: circuit.garbler_inputs(),
+                evaluator_inputs: circuit.evaluator_inputs(),
+                num_gates: circuit.num_gates() as u64,
+                num_tables: circuit.num_and_gates() as u64,
+                scheme: config.scheme,
+                window_wires: config.window.sww_wires(),
+                chunk_tables: chunk_tables as u32,
+                reorder: config.reorder(),
+                ot_mode: config.ot_mode,
+                ack_interval,
+            }),
+        )?;
+        write_message(
+            &mut channel,
+            &Message::GarblerInputs(garbler.garbler_input_labels(garbler_bits)),
+        )
+    })()
     .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
-
-    let plan = config.plan.clone();
-    let mut garbler = match &plan {
-        Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
-        None => StreamingGarbler::new(circuit, rng, config.scheme),
-    };
-    write_message(channel, &Message::GarblerInputs(garbler.garbler_input_labels(garbler_bits)))
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
 
     // Input-label delivery for the evaluator: per-input base OTs, or ~κ
     // base OTs bootstrapping an IKNP-style extension. The label pairs
@@ -668,106 +831,57 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
     let evaluator_pairs: Vec<(Block, Block)> = (0..circuit.evaluator_inputs())
         .map(|i| garbler.input_label_pair(circuit.garbler_inputs() + i))
         .collect();
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(channel, SessionPhase::Ot, &config.deadlines)?;
+    let (depth, autotune) = config.resolved_pipeline_depth();
+    arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
     let t = Instant::now();
-    let mut prefill = PrefillStats::default();
-    let ot = match config.ot_mode {
-        OtMode::Base => {
-            ot_send(&evaluator_pairs, rng, channel).map_err(|e| e.in_phase(SessionPhase::Ot))?
-        }
-        OtMode::Extended => {
-            // The extension opens with a *receive* (the evaluator's
-            // OtSetup), so the queued header and garbler inputs must
-            // actually reach the peer before this side blocks.
-            channel.flush().map_err(|e| RuntimeError::from(e).in_phase(SessionPhase::Ot))?;
-            let depth = if config.pipeline { config.resolved_pipeline_depth().0 } else { 0 };
-            let (outcome, pre) = ot_send_extended_overlapped(
+    let (ot, ot_ns, prefill) = match config.ot_mode {
+        OtMode::Base => ot_send(&evaluator_pairs, rng, &mut channel)
+            .map(|ot| (ot, t.elapsed().as_nanos() as u64, PrefillStats::default())),
+        // The extension opens with a *receive* (the evaluator's
+        // OtSetup), so the queued header and garbler inputs must
+        // actually reach the peer before this side blocks.
+        OtMode::Extended => channel.flush().map_err(RuntimeError::from).and_then(|()| {
+            ot_send_extended_overlapped(
                 &mut garbler,
                 &evaluator_pairs,
                 rng,
-                channel,
+                &mut channel,
                 chunk_tables,
                 depth,
             )
-            .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-            prefill = pre;
-            outcome
-        }
+        }),
+    }
+    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
+    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
+    record_ot(live, ot_ns, &ot);
+
+    arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
+    let mut io = GarblerIo {
+        link: Link::new(channel),
+        resume,
+        buffer: ReplayBuffer::new(),
+        window: u64::from(ack_interval) * 2,
+        deadlines: config.deadlines,
+        counters: ResumeCounters::default(),
     };
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
+    let shape = StreamShape {
+        chunk_tables,
+        chunk_pinned: config.chunk_override.is_some(),
+        depth,
+        autotune,
+    };
+    let stats = stream_tables(&mut garbler, &mut io, shape, prefill, live)?;
 
-    // Stream tables in window-sized chunks, one flush per chunk. Two
-    // rotating buffers serve the whole stream — `next_tables_into`
-    // refills and `write_tables` frames from borrowed slices, so the
-    // steady state performs zero per-chunk allocations whether the I/O
-    // stage is overlapped or inline.
-    arm_phase(channel, SessionPhase::Stream, &config.deadlines)?;
-    let stream_start = Instant::now();
-    // Chunks garbled under the OT wall (extended mode's overlap) ship
-    // first; the first flush here also carries the still-queued masked
-    // OT labels, mirroring the base path's unflushed ciphertexts.
-    let mut pre_stats = StreamStats { compute_ns: prefill.compute_ns, ..StreamStats::default() };
-    for chunk in &prefill.chunks {
-        let seq = pre_stats.chunks;
-        pre_stats.chunks += 1;
-        pre_stats.tables += chunk.len() as u64;
-        if let Some(tel) = live {
-            tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-        }
-        let t = Instant::now();
-        (|| -> Result<(), RuntimeError> {
-            write_tables(channel, seq, chunk)?;
-            Ok(channel.flush()?)
-        })()
-        .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        pre_stats.io_ns += io_ns;
-        if let Some(tel) = live {
-            tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
-        }
-    }
-    let mut stats = if config.pipeline {
-        let (depth, autotune) = config.resolved_pipeline_depth();
-        let shape = StreamShape {
-            chunk_tables,
-            chunk_pinned: config.chunk_override.is_some(),
-            depth,
-            autotune,
-        };
-        stream_tables_pipelined(&mut garbler, channel, shape, pre_stats.chunks, live)
-    } else {
-        stream_tables_serial(&mut garbler, channel, chunk_tables, pre_stats.chunks, live)
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    stats.chunks += pre_stats.chunks;
-    stats.tables += pre_stats.tables;
-    stats.compute_ns += pre_stats.compute_ns;
-    stats.io_ns += pre_stats.io_ns;
-    stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
-
+    // The output-decode tail rides in the same sequence space (cursor =
+    // chunk count), so a cut between the last chunk and the decode — or
+    // between the decode and the shared outputs — replays exactly the
+    // frames the evaluator is missing. The chunk budget stays armed: the
+    // tail is the same per-operation progress requirement as the stream.
     let finish = garbler.finish();
-    // The chunk budget stays armed: the output tail is the same
-    // per-operation progress requirement as the stream it follows.
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::OutputDecode(finish.output_decode))?;
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Output))?;
-
-    let Message::Outputs(outputs) =
-        expect_message(channel, "Outputs").map_err(|e| e.in_phase(SessionPhase::Output))?
-    else {
-        unreachable!()
-    };
+    let decode = encode_frame(&Message::OutputDecode(finish.output_decode))
+        .map_err(|e| e.in_phase(SessionPhase::Output))?;
+    io.ship(decode, SessionPhase::Output)?;
+    let outputs = io.read_outputs()?;
     if outputs.len() != circuit.outputs().len() {
         return Err(RuntimeError::protocol(format!(
             "evaluator shared {} outputs, circuit has {}",
@@ -776,7 +890,7 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
         )));
     }
 
-    let channel_stats = channel.stats();
+    let channel_stats = io.link.close();
     Ok(SessionReport {
         role: SessionRole::Garbler,
         outputs,
@@ -801,67 +915,30 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
         compute_stall_ns: stats.compute_stall_ns,
         io_stall_ns: stats.io_stall_ns,
         oor_queue_peak: finish.oor_queue_peak,
-        resumes: 0,
-        replayed_frames: 0,
+        resumes: io.counters.resumes,
+        replayed_frames: io.counters.replayed_frames,
         elapsed: start.elapsed(),
     })
 }
 
-/// The legacy strictly alternating loop: garble a chunk, ship it, wait,
-/// repeat. Byte-identical output to the pipelined path. Stall
-/// attribution stays zero — an inline stage never waits for itself.
-fn stream_tables_serial<C: Channel + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
-    channel: &mut C,
-    chunk_tables: usize,
-    start_seq: u64,
-    live: Option<&SessionTelemetry>,
-) -> Result<StreamStats, RuntimeError> {
-    let start = Instant::now();
-    let mut stats = StreamStats::default();
-    let mut next_seq = start_seq;
-    let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
-    loop {
-        let t = Instant::now();
-        let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-        let compute_ns = t.elapsed().as_nanos() as u64;
-        stats.compute_ns += compute_ns;
-        if !more {
-            break;
-        }
-        if chunk.is_empty() {
-            continue;
-        }
-        stats.tables += chunk.len() as u64;
-        stats.chunks += 1;
-        if let Some(tel) = live {
-            tel.chunk_compute_ns.record(compute_ns);
-            tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-        }
-        let t = Instant::now();
-        write_tables(channel, next_seq, &chunk)?;
-        next_seq += 1;
-        channel.flush()?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        stats.io_ns += io_ns;
-        if let Some(tel) = live {
-            tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
-        }
+/// Feeds one side's OT phase into the live instruments.
+fn record_ot(live: Option<&SessionTelemetry>, ot_ns: u64, ot: &OtOutcome) {
+    if let Some(tel) = live {
+        tel.ot_ns.record(ot_ns);
+        tel.base_ots.add(ot.base_ots);
+        tel.ext_ots.add(ot.ext_ots);
+        tel.ot_rate.add(ot.transfers);
     }
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok(stats)
 }
 
-/// Chunk buffers a pipelined session's compute/I-O ring *starts* with.
-/// Two is the textbook double buffer but turns every handoff into a
-/// blocking rendezvous (the compute stage waits out a scheduler round
-/// trip per chunk); a third buffer lets the compute stage keep garbling
-/// while the I/O thread is being woken. The overlap pays off whenever
-/// the I/O stage genuinely waits (network serialization, a lagging
-/// peer, a second hardware thread to run on); on a single-CPU host
-/// against a pure loopback it degrades to roughly serial cost.
+/// Chunk buffers a session's compute/I-O ring *starts* with. Two is
+/// the textbook double buffer but turns every handoff into a blocking
+/// rendezvous (the compute stage waits out a scheduler round trip per
+/// chunk); a third buffer lets the compute stage keep garbling while
+/// the I/O thread is being woken. The overlap pays off whenever the I/O
+/// stage genuinely waits (network serialization, a lagging peer, a
+/// second hardware thread to run on); on a single-CPU host against a
+/// pure loopback it degrades to roughly serial cost.
 ///
 /// When the I/O stage measurably dominates, the garbler **autotunes**
 /// the ring wider (up to [`MAX_PIPELINE_DEPTH`]) from the first ring's
@@ -920,10 +997,9 @@ fn autotune_stream_shape(
     (tuned_depth, tuned_chunk)
 }
 
-/// The stream shape [`stream_tables_pipelined`] starts from: the chunk
-/// size (and whether the caller pinned it against autotuning), the
-/// initial ring depth, and whether the first-ring autotune may widen
-/// either.
+/// The stream shape [`stream_tables`] starts from: the chunk size (and
+/// whether the caller pinned it against autotuning), the initial ring
+/// depth, and whether the first-ring autotune may widen either.
 #[derive(Debug, Clone, Copy)]
 struct StreamShape {
     chunk_tables: usize,
@@ -933,24 +1009,37 @@ struct StreamShape {
 }
 
 /// The decoupled access/execute pipeline: the calling thread garbles
-/// while a scoped I/O stage sends and flushes, joined by a bounded
-/// ring of rotating chunk buffers (chunk N+1 is garbled while chunk N
-/// is on the wire). Bounded by construction: at most `depth` chunks
-/// exist at once, so a slow evaluator still backpressures the garbler
-/// through the channel, exactly as in the serial loop.
+/// while a scoped I/O stage owning `io` frames, buffers for replay,
+/// sends and flushes, joined by a bounded ring of rotating chunk
+/// buffers (chunk N+1 is garbled while chunk N is on the wire). Bounded
+/// by construction: at most `depth` chunks exist at once, so a slow
+/// evaluator backpressures the garbler through the channel and the ack
+/// window. A ring of one buffer is a strictly alternating schedule.
+///
+/// Chunks the extended OT garbled under its round trips (`prefill`)
+/// enter the ring as its first buffers and ship first.
 ///
 /// With `autotune` set, one ring of chunks is measured and the ring is
 /// widened once — to roughly the measured io/compute ratio, capped at
 /// [`MAX_PIPELINE_DEPTH`] — when the I/O stage dominates: extra depth
 /// only helps while transfers are the bottleneck, and the first-ring
 /// measurement is exactly the imbalance the widened ring must absorb.
-fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
-    channel: &mut C,
+///
+/// An I/O-stage failure the reconnect hook cannot mend drops the ring's
+/// queues, which unblocks the compute stage; the error surfaces after
+/// the join.
+fn stream_tables<G, C, F>(
+    garbler: &mut G,
+    io: &mut GarblerIo<C, F>,
     shape: StreamShape,
-    start_seq: u64,
+    prefill: PrefillStats,
     live: Option<&SessionTelemetry>,
-) -> Result<StreamStats, RuntimeError> {
+) -> Result<StreamStats, RuntimeError>
+where
+    G: GarblerSource,
+    C: Channel + Send,
+    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)> + Send,
+{
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let StreamShape { mut chunk_tables, chunk_pinned, depth, autotune } = shape;
@@ -965,9 +1054,6 @@ fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
     let (full_tx, full_rx) = mpsc::sync_channel::<Vec<[Block; 2]>>(MAX_PIPELINE_DEPTH);
     let (empty_tx, empty_rx) = mpsc::channel::<Vec<[Block; 2]>>();
     let mut depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
-    for _ in 0..depth {
-        empty_tx.send(Vec::with_capacity(capacity)).expect("receiver held by this thread");
-    }
 
     // Live I/O-stage accounting the compute stage reads at the
     // autotune point (and that survives the stage's early death).
@@ -979,26 +1065,21 @@ fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
     // stream running out, not a chunk being late.
     let starved_ns = AtomicU64::new(0);
 
-    let mut stats = StreamStats::default();
-    let failure = std::thread::scope(|scope| {
+    let mut stats = StreamStats { compute_ns: prefill.compute_ns, ..StreamStats::default() };
+    let prefill_chunks = prefill.chunks.len();
+    let outcome = std::thread::scope(|scope| {
         let io_stats = (&shipped_ns, &shipped_chunks, &starved_ns);
-        let io = scope.spawn(move || {
-            let mut failure = None;
-            let mut next_seq = start_seq;
+        let io_stage = scope.spawn(move || -> Result<(), RuntimeError> {
             loop {
                 let waited = Instant::now();
-                let Ok(chunk) = full_rx.recv() else { break };
+                let Ok(chunk) = full_rx.recv() else { return Ok(()) };
                 io_stats.2.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let t = Instant::now();
-                let shipped = write_tables(channel, next_seq, &chunk)
-                    .and_then(|()| channel.flush().map_err(RuntimeError::from));
-                next_seq += 1;
+                let shipped = io.ship_tables(&chunk);
                 let chunk_io_ns = t.elapsed().as_nanos() as u64;
                 io_stats.0.fetch_add(chunk_io_ns, Ordering::Relaxed);
-                if let Err(e) = shipped {
-                    failure = Some(e);
-                    break; // dropping the queues unblocks the compute stage
-                }
+                // Returning drops the queues, unblocking the compute stage.
+                shipped?;
                 io_stats.1.fetch_add(1, Ordering::Relaxed);
                 if let Some(tel) = live {
                     tel.chunk_io_ns.record(chunk_io_ns);
@@ -1007,15 +1088,25 @@ fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
                 }
                 let _ = empty_tx.send(chunk);
             }
-            failure
         });
-        // Compute stage, on the calling thread. A `None` buffer means
-        // the I/O stage died; its error surfaces after the join.
-        // `extra` is the widening budget the autotune granted: fresh
-        // buffers enter the ring here instead of blocking on a drained
-        // one (they return through `empty_rx` like any other).
+        // Compute stage, on the calling thread. The prefilled chunks
+        // ship first; a failed send means the I/O stage died, and the
+        // loop below then runs dry on the closed queues.
+        for chunk in prefill.chunks {
+            stats.chunks += 1;
+            stats.tables += chunk.len() as u64;
+            if let Some(tel) = live {
+                tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
+            }
+            let _ = full_tx.send(chunk);
+        }
+        // A `None` buffer means the I/O stage died. `extra` counts the
+        // buffers the ring may still grow by (up to its depth, and by
+        // whatever the autotune grants): they are allocated only when
+        // the stream needs them, instead of blocking on a drained one,
+        // and return through `empty_rx` like any other.
         let mut tuned = !autotune;
-        let mut extra = 0usize;
+        let mut extra = depth.saturating_sub(prefill_chunks);
         let mut stash: Option<Vec<[Block; 2]>> = None;
         while let Some(mut chunk) = stash
             .take()
@@ -1071,29 +1162,269 @@ fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
                         chunk_tables,
                         chunk_pinned,
                     );
-                    extra = target_depth - depth;
+                    extra += target_depth - depth;
                     depth = target_depth;
                     chunk_tables = target_chunk;
                 }
             }
         }
         drop(full_tx); // end of stream: the I/O stage drains and exits
-        io.join().expect("table I/O stage panicked")
+        io_stage.join().expect("table I/O stage panicked")
     });
-    stats.io_ns = shipped_ns.load(Ordering::Relaxed);
-    stats.compute_stall_ns = starved_ns.load(Ordering::Relaxed);
+    stats.io_ns = shipped_ns.into_inner();
+    stats.compute_stall_ns = starved_ns.into_inner();
     stats.depth = depth;
-    if let Some(e) = failure {
-        return Err(e);
-    }
+    outcome?;
     stats.wall_ns = start.elapsed().as_nanos() as u64;
     Ok(stats)
 }
 
+/// Bounded store of the framed wire bytes of every
+/// not-yet-acknowledged stream frame (table chunks and the
+/// output-decode tail), addressed by sequence number. Resume is **byte
+/// replay** out of this buffer: the exact bytes are re-sent and labels
+/// are never re-derived, so the one-time-label invariant holds by
+/// construction.
+struct ReplayBuffer {
+    frames: VecDeque<(u64, Vec<u8>)>,
+    /// Sequence number the next pushed frame gets.
+    next_seq: u64,
+    /// Cumulative ack cursor: every frame below it has been released.
+    acked: u64,
+}
+
+impl ReplayBuffer {
+    fn new() -> ReplayBuffer {
+        ReplayBuffer { frames: VecDeque::new(), next_seq: 0, acked: 0 }
+    }
+
+    /// Stores a frame's wire bytes under the next sequence number.
+    fn push(&mut self, bytes: Vec<u8>) {
+        self.frames.push_back((self.next_seq, bytes));
+        self.next_seq += 1;
+    }
+
+    /// Applies a cumulative (exclusive) ack: frames below `upto` are
+    /// released. Stale cursors are ignored; a cursor past everything
+    /// produced is a protocol violation.
+    fn ack(&mut self, upto: u64) -> Result<(), RuntimeError> {
+        if upto > self.next_seq {
+            return Err(RuntimeError::protocol(format!(
+                "peer acknowledged stream cursor {upto} but only {} frames were produced",
+                self.next_seq
+            )));
+        }
+        if upto > self.acked {
+            self.acked = upto;
+            while self.frames.front().is_some_and(|(seq, _)| *seq < upto) {
+                self.frames.pop_front();
+            }
+        }
+        Ok(())
+    }
+
+    /// Frames produced but not yet acknowledged.
+    fn unacked(&self) -> u64 {
+        self.next_seq - self.acked
+    }
+}
+
+/// Counters a garbler accumulates across reconnects.
+#[derive(Debug, Default, Clone, Copy)]
+struct ResumeCounters {
+    resumes: u64,
+    replayed_frames: u64,
+}
+
+/// A session's connection across resumes: the live channel plus the
+/// traffic of every connection already lost to a cut, so a resumed
+/// session's report covers all of them.
+struct Link<C> {
+    /// `None` only while a dead connection awaits its replacement.
+    live: Option<C>,
+    carried: ChannelStats,
+}
+
+impl<C: Channel> Link<C> {
+    fn new(channel: C) -> Link<C> {
+        Link { live: Some(channel), carried: ChannelStats::default() }
+    }
+
+    fn get(&mut self) -> &mut C {
+        self.live.as_mut().expect("a live connection outside recovery")
+    }
+
+    /// Drops the live connection, keeping its traffic counts. The peer
+    /// only observes the disconnect once the channel is gone.
+    fn hang_up(&mut self) {
+        if let Some(dead) = self.live.take() {
+            let stats = dead.stats();
+            self.carried.bytes_sent += stats.bytes_sent;
+            self.carried.bytes_received += stats.bytes_received;
+            self.carried.flushes += stats.flushes;
+        }
+    }
+
+    /// Ends the session's use of the link: traffic over every
+    /// connection it ran on.
+    fn close(&mut self) -> ChannelStats {
+        self.hang_up();
+        self.carried
+    }
+}
+
+/// The garbler's I/O side: the connection, the replay buffer of every
+/// unacknowledged frame, and the reconnect hook. It belongs to the
+/// streaming phase's I/O stage and then to the calling thread for the
+/// output tail, so every frame — table chunk or decode — takes the same
+/// buffer-then-send path and the same recovery.
+struct GarblerIo<C, F> {
+    link: Link<C>,
+    resume: F,
+    buffer: ReplayBuffer,
+    /// Unacked frames the buffer may hold before the next table chunk
+    /// waits for an ack: two ack windows.
+    window: u64,
+    deadlines: SessionDeadlines,
+    counters: ResumeCounters,
+}
+
+impl<C, F> GarblerIo<C, F>
+where
+    C: Channel,
+    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
+{
+    /// Ships one table chunk under the next sequence number, first
+    /// blocking on the evaluator's acks while the replay buffer holds a
+    /// full window.
+    fn ship_tables(&mut self, tables: &[[Block; 2]]) -> Result<(), RuntimeError> {
+        while self.buffer.unacked() >= self.window {
+            match read_message(self.link.get()) {
+                Ok(Message::ChunkAck { upto_seq }) => {
+                    self.buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Stream))?;
+                }
+                Ok(other) => {
+                    return Err(RuntimeError::protocol(format!(
+                        "expected ChunkAck, received {}",
+                        other.name()
+                    ))
+                    .in_phase(SessionPhase::Stream));
+                }
+                Err(e) => self.recover(e, SessionPhase::Stream)?,
+            }
+        }
+        let frame = encode_tables_frame(self.buffer.next_seq, tables)
+            .map_err(|e| e.in_phase(SessionPhase::Stream))?;
+        self.ship(frame, SessionPhase::Stream)
+    }
+
+    /// Buffers a frame's bytes in the replay buffer, then sends and
+    /// flushes them — recovering through the hook on a transport
+    /// failure. After a successful recovery the frame has already been
+    /// replayed out of the buffer, so the send is not repeated.
+    fn ship(&mut self, frame: Vec<u8>, phase: SessionPhase) -> Result<(), RuntimeError> {
+        self.buffer.push(frame);
+        let (_, bytes) = self.buffer.frames.back().expect("frame was just pushed");
+        let channel = self.link.get();
+        let sent = channel.send(bytes).and_then(|()| channel.flush());
+        sent.or_else(|e| self.recover(e.into(), phase))
+    }
+
+    /// Reads the evaluator's shared outputs. Late acks from the
+    /// stream's tail are still applied — they release replay bytes held
+    /// for a resume that never came.
+    fn read_outputs(&mut self) -> Result<Vec<bool>, RuntimeError> {
+        loop {
+            match read_message(self.link.get()) {
+                Ok(Message::ChunkAck { upto_seq }) => {
+                    self.buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Output))?;
+                }
+                Ok(Message::Outputs(outputs)) => return Ok(outputs),
+                Ok(other) => {
+                    return Err(RuntimeError::protocol(format!(
+                        "expected Outputs, received {}",
+                        other.name()
+                    ))
+                    .in_phase(SessionPhase::Output));
+                }
+                Err(e) => self.recover(e, SessionPhase::Output)?,
+            }
+        }
+    }
+
+    /// Recovers after a transport failure: the dead channel is dropped
+    /// first, then the hook is asked for a fresh channel plus the
+    /// evaluator's requested cursor, and every buffered frame at or
+    /// past that cursor is replayed byte-for-byte. Failures during the
+    /// replay re-consult the hook; the hook returning `None` makes the
+    /// pending failure terminal, as does any failure that is not
+    /// resume-safe.
+    fn recover(&mut self, err: RuntimeError, phase: SessionPhase) -> Result<(), RuntimeError> {
+        let mut err = err.in_phase(phase);
+        loop {
+            self.link.hang_up();
+            if !err.resume_safe() {
+                return Err(err);
+            }
+            let Some((channel, next_seq)) = (self.resume)(&err, self.buffer.next_seq) else {
+                return Err(err);
+            };
+            self.link.live = Some(channel);
+            match self.replay(next_seq) {
+                Ok(()) => return Ok(()),
+                Err(replay_err) => err = replay_err,
+            }
+        }
+    }
+
+    /// Confirms the evaluator's cursor with a `ResumeAck` on a fresh
+    /// channel and replays every buffered frame at or past it. Frames
+    /// below the cursor are implicitly acknowledged — the evaluator
+    /// vouching for them is as good as an ack. The stream deadline is
+    /// re-armed on the new channel, so the per-chunk progress budget is
+    /// per connection, not cumulative across reconnects.
+    fn replay(&mut self, next_seq: u64) -> Result<(), RuntimeError> {
+        let buffer = &mut self.buffer;
+        if next_seq > buffer.next_seq {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is past the {} frames produced",
+                buffer.next_seq
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        if next_seq < buffer.acked {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes were \
+                 released and cannot be replayed",
+                buffer.acked
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        let channel = self.link.get();
+        arm_phase(channel, SessionPhase::Stream, &self.deadlines)?;
+        let counters = &mut self.counters;
+        (|| -> Result<(), RuntimeError> {
+            write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
+            buffer.ack(next_seq)?;
+            for (seq, bytes) in &buffer.frames {
+                debug_assert!(*seq >= next_seq);
+                channel.send(bytes)?;
+                counters.replayed_frames += 1;
+            }
+            Ok(channel.flush()?)
+        })()
+        .map_err(|e| e.in_phase(SessionPhase::Stream))?;
+        counters.resumes += 1;
+        Ok(())
+    }
+}
+
 /// Runs the evaluator (Bob) side of a streaming session with explicit
-/// options: `config.plan`/`config.pipeline` select the label store and
-/// the receive/evaluate overlap (`config.scheme` and `config.window`
-/// are the garbler's choices and arrive via the header).
+/// options: `config.plan` selects the label store and
+/// `config.pipeline_depth` the receive/evaluate ring (`config.scheme`
+/// and `config.window` are the garbler's choices and arrive via the
+/// header). This is [`run_evaluator_resumable`] with a reconnect hook
+/// that always declines: a mid-stream transport failure is terminal.
 ///
 /// # Errors
 ///
@@ -1106,132 +1437,8 @@ pub fn run_evaluator_with<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
-    if evaluator_bits.len() != circuit.evaluator_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator input width {} does not match circuit ({})",
-            evaluator_bits.len(),
-            circuit.evaluator_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
-    let start = Instant::now();
-
-    arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
-    let Message::Header(header) =
-        expect_message(channel, "Header").map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    validate_header(circuit, &header)?;
-    if header.reorder != config.reorder() {
-        // Running anyway would not fail fast — it would desynchronize
-        // the table stream and surface as garbage labels much later.
-        return Err(RuntimeError::protocol(format!(
-            "reorder mismatch: the garbler lowered with {}, this side with {}",
-            header.reorder.label(),
-            config.reorder().label()
-        )));
-    }
-    if header.ot_mode != config.ot_mode {
-        // Same fail-fast rule as the schedule: the two modes speak
-        // different message sequences, so running on would deadlock or
-        // desynchronize inside the OT phase instead of failing here.
-        return Err(RuntimeError::protocol(format!(
-            "OT mode mismatch: the garbler negotiated {}, this side {}",
-            header.ot_mode.label(),
-            config.ot_mode.label()
-        )));
-    }
-
-    let Message::GarblerInputs(garbler_labels) = expect_message(channel, "GarblerInputs")
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    if garbler_labels.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol("garbler label count mismatch"));
-    }
-
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let (own_labels, ot) = match header.ot_mode {
-        OtMode::Base => ot_receive(evaluator_bits, rng, channel),
-        OtMode::Extended => ot_receive_extended(evaluator_bits, rng, channel),
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
-
-    let mut input_labels = garbler_labels;
-    input_labels.extend(own_labels);
-    let plan = config.plan.clone();
-    let mut evaluator = match &plan {
-        Some(plan) => StreamingEvaluator::with_plan(&plan.program, input_labels, header.scheme),
-        None => StreamingEvaluator::new(circuit, input_labels, header.scheme),
-    };
-
-    arm_phase(channel, SessionPhase::Stream, &config.deadlines)?;
-    let (output_decode, stats) = if config.pipeline {
-        let (depth, _) = config.resolved_pipeline_depth();
-        recv_tables_pipelined(&mut evaluator, channel, depth, header.ack_interval, live)
-    } else {
-        recv_tables_serial(&mut evaluator, channel, header.ack_interval, live)
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    if !evaluator.is_done() {
-        return Err(RuntimeError::protocol(format!(
-            "table stream ended early: consumed {} of {} tables",
-            evaluator.tables_consumed(),
-            header.num_tables
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-
-    let tables = evaluator.tables_consumed();
-    let finish = evaluator.finish(&output_decode);
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::Outputs(finish.outputs.clone()))?;
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Output))?;
-
-    let channel_stats = channel.stats();
-    Ok(SessionReport {
-        role: SessionRole::Evaluator,
-        outputs: finish.outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= header.window_wires as usize,
-        ot_transfers: circuit.evaluator_inputs() as u64,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: 0,
-        replayed_frames: 0,
-        elapsed: start.elapsed(),
-    })
+    // The ticket only travels in a resume handshake, which never runs.
+    run_evaluator_resumable(circuit, evaluator_bits, rng, config, channel, 0, |_, _| None)
 }
 
 /// Runs the evaluator (Bob) side of a streaming session with default
@@ -1259,6 +1466,150 @@ pub fn run_evaluator<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
     run_evaluator_with(circuit, evaluator_bits, rng, &config, channel)
 }
 
+/// Runs the evaluator side of a **resumable** streaming session — the
+/// one evaluator driver every entry point runs.
+///
+/// The slab/OoRW evaluation state lives on this side of the channel, so
+/// it survives a transport swap by construction; what this driver adds
+/// is the cursor protocol around it. Every `ack_interval` chunks (the
+/// cadence the garbler announces in its header) the receive stage sends
+/// a cumulative `ChunkAck` releasing the garbler's replay bytes. On a
+/// resumable transport failure ([`RuntimeError::resume_safe`]) the
+/// `resume` callback is asked for a fresh raw connection — it owns
+/// reconnect policy and backoff, returning `None` to give up — and the
+/// driver runs the resume handshake itself: `Resume{ticket, next_seq}`
+/// out, `ResumeAck` back confirming the exact cursor, after which the
+/// replayed bytes continue the stream bit-identically (the sequence
+/// check fails loudly if they do not). The callback runs on the receive
+/// stage (hence `Send`) while the calling thread keeps evaluating.
+///
+/// `ticket` is the opaque resume token the serving layer issued with
+/// the session; pure-runtime peers just agree on a value out of band.
+///
+/// # Errors
+///
+/// Fails on pre-stream failures (retry-safe, never resumed), protocol
+/// violations — including a garbler that announces `ack_interval` 0,
+/// i.e. one that cannot resume — and resumable failures once the
+/// callback declines to reconnect.
+pub fn run_evaluator_resumable<C, R, F>(
+    circuit: &Circuit,
+    evaluator_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
+    mut channel: C,
+    ticket: u128,
+    resume: F,
+) -> Result<SessionReport, RuntimeError>
+where
+    C: Channel + Send,
+    R: Rng + ?Sized,
+    F: FnMut(&RuntimeError, u64) -> Option<C> + Send,
+{
+    if evaluator_bits.len() != circuit.evaluator_inputs() as usize {
+        return Err(RuntimeError::protocol(format!(
+            "evaluator input width {} does not match circuit ({})",
+            evaluator_bits.len(),
+            circuit.evaluator_inputs()
+        )));
+    }
+    if let Some(plan) = &config.plan {
+        check_plan(plan, circuit)?;
+    }
+    let start = Instant::now();
+
+    arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
+    let Message::Header(header) =
+        expect_message(&mut channel, "Header").map_err(|e| e.in_phase(SessionPhase::Handshake))?
+    else {
+        unreachable!()
+    };
+    validate_header(circuit, config, &header)?;
+    let Message::GarblerInputs(garbler_labels) = expect_message(&mut channel, "GarblerInputs")
+        .map_err(|e| e.in_phase(SessionPhase::Handshake))?
+    else {
+        unreachable!()
+    };
+    if garbler_labels.len() != circuit.garbler_inputs() as usize {
+        return Err(RuntimeError::protocol("garbler label count mismatch"));
+    }
+
+    arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
+    let t = Instant::now();
+    let (own_labels, ot) = match header.ot_mode {
+        OtMode::Base => ot_receive(evaluator_bits, rng, &mut channel),
+        OtMode::Extended => ot_receive_extended(evaluator_bits, rng, &mut channel),
+    }
+    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
+    let ot_ns = t.elapsed().as_nanos() as u64;
+    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
+    record_ot(live, ot_ns, &ot);
+
+    let mut input_labels = garbler_labels;
+    input_labels.extend(own_labels);
+    let plan = config.plan.clone();
+    let mut evaluator = match &plan {
+        Some(plan) => StreamingEvaluator::with_plan(&plan.program, input_labels, header.scheme),
+        None => StreamingEvaluator::new(circuit, input_labels, header.scheme),
+    };
+
+    arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
+    let mut io = EvaluatorIo {
+        link: Link::new(channel),
+        resume,
+        ticket,
+        deadlines: config.deadlines,
+        resumes: 0,
+    };
+    let (depth, _) = config.resolved_pipeline_depth();
+    let (output_decode, stats) =
+        recv_tables(&mut evaluator, &mut io, depth, header.ack_interval, live)?;
+    if !evaluator.is_done() {
+        return Err(RuntimeError::protocol(format!(
+            "table stream ended early: consumed {} of {} tables",
+            evaluator.tables_consumed(),
+            header.num_tables
+        ))
+        .in_phase(SessionPhase::Stream));
+    }
+
+    let tables = evaluator.tables_consumed();
+    let finish = evaluator.finish(&output_decode);
+    // Cursor past the decode frame: on a resume here the garbler
+    // replays nothing and just re-awaits the shared outputs.
+    io.send_outputs(&finish.outputs, stats.chunks + 1)?;
+
+    let channel_stats = io.link.close();
+    Ok(SessionReport {
+        role: SessionRole::Evaluator,
+        outputs: finish.outputs,
+        bytes_sent: channel_stats.bytes_sent,
+        bytes_received: channel_stats.bytes_received,
+        flushes: channel_stats.flushes,
+        table_chunks: stats.chunks,
+        tables,
+        peak_live_wires: finish.peak_live_wires,
+        within_window: finish.peak_live_wires <= header.window_wires as usize,
+        ot_transfers: ot.transfers,
+        crypto: finish.crypto,
+        compute_ns: stats.compute_ns,
+        io_ns: stats.io_ns,
+        stream_ns: stats.wall_ns,
+        overlap_ratio: stats.overlap_ratio(),
+        pipeline_depth: stats.depth,
+        ot_ns,
+        base_ots: ot.base_ots,
+        ext_ots: ot.ext_ots,
+        ot_io_stall_ns: ot.io_stall_ns,
+        compute_stall_ns: stats.compute_stall_ns,
+        io_stall_ns: stats.io_stall_ns,
+        oor_queue_peak: finish.oor_queue_peak,
+        resumes: io.resumes,
+        replayed_frames: 0,
+        elapsed: start.elapsed(),
+    })
+}
+
 /// A received chunk's sequence number must continue the stream exactly
 /// — a gap or repeat means the transports desynchronized (or a resume
 /// replayed from the wrong cursor), and evaluating on would produce
@@ -1280,76 +1631,36 @@ fn maybe_ack<C: Channel + ?Sized>(
     ack_interval: u32,
     next_seq: u64,
 ) -> Result<(), RuntimeError> {
-    if ack_interval > 0 && next_seq.is_multiple_of(u64::from(ack_interval)) {
+    if next_seq.is_multiple_of(u64::from(ack_interval)) {
         write_message(channel, &Message::ChunkAck { upto_seq: next_seq })?;
         channel.flush()?;
     }
     Ok(())
 }
 
-/// Serial receive loop: block for a frame, evaluate it, repeat. Stall
-/// attribution stays zero — an inline stage never waits for itself.
-fn recv_tables_serial<C: Channel + ?Sized>(
-    evaluator: &mut StreamingEvaluator<'_>,
-    channel: &mut C,
-    ack_interval: u32,
-    live: Option<&SessionTelemetry>,
-) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
-    let start = Instant::now();
-    let mut stats = StreamStats::default();
-    let decode = loop {
-        let t = Instant::now();
-        let message = read_message(channel)?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        stats.io_ns += io_ns;
-        match message {
-            Message::Tables { seq, tables: chunk } => {
-                check_seq(seq, stats.chunks)?;
-                stats.chunks += 1;
-                stats.tables += chunk.len() as u64;
-                let t = Instant::now();
-                evaluator.feed(&chunk);
-                let compute_ns = t.elapsed().as_nanos() as u64;
-                stats.compute_ns += compute_ns;
-                if let Some(tel) = live {
-                    tel.chunk_io_ns.record(io_ns);
-                    tel.chunk_compute_ns.record(compute_ns);
-                    tel.oor_occupancy.record(evaluator.oor_queue_len() as u64);
-                    tel.tables.add(chunk.len() as u64);
-                    tel.table_rate.add(chunk.len() as u64);
-                }
-                maybe_ack(channel, ack_interval, stats.chunks)?;
-            }
-            Message::OutputDecode(decode) => break decode,
-            other => {
-                return Err(RuntimeError::protocol(format!(
-                    "expected Tables or OutputDecode, received {}",
-                    other.name()
-                )))
-            }
-        }
-    };
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok((decode, stats))
-}
-
-/// Pipelined receive: a scoped I/O stage blocks on the channel and
-/// hands table chunks to the calling thread, so the receive of chunk
-/// N+1 overlaps the evaluation of chunk N.
+/// Pipelined receive: a scoped stage owning `io` blocks on the channel,
+/// checks sequence numbers, acks, recovers cut connections, and hands
+/// table chunks to the calling thread, so the receive of chunk N+1
+/// overlaps the evaluation of chunk N.
 ///
 /// The receive stage's `io_ns` is its full span — first receive attempt
 /// until the decode message lands. That span covers both genuine
 /// network waits and stalls with the prefetch queue full (the stage ran
 /// *ahead* of evaluation); either way, every nanosecond of it that
-/// coincides with evaluation is receive work the serial loop would have
-/// paid inline, which is exactly what `overlap_ratio` reports.
-fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
+/// coincides with evaluation is receive work a strictly alternating
+/// loop would have paid inline, which is exactly what `overlap_ratio`
+/// reports.
+fn recv_tables<C, F>(
     evaluator: &mut StreamingEvaluator<'_>,
-    channel: &mut C,
+    io: &mut EvaluatorIo<C, F>,
     depth: usize,
     ack_interval: u32,
     live: Option<&SessionTelemetry>,
-) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
+) -> Result<(Vec<bool>, StreamStats), RuntimeError>
+where
+    C: Channel + Send,
+    F: FnMut(&RuntimeError, u64) -> Option<C> + Send,
+{
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let start = Instant::now();
@@ -1364,50 +1675,52 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
     let starved_ns = AtomicU64::new(0);
     let (io_ns, outcome) = std::thread::scope(|scope| {
         let starved = &starved_ns;
-        let io = scope.spawn(move || {
+        let receiver = scope.spawn(move || {
             let span = Instant::now();
             // Acks are written from this stage: it owns the channel, and
             // the ack cadence tracks receive order, not evaluation order.
-            let mut expected_seq = 0u64;
-            loop {
+            // The count of frames received is also the resume cursor.
+            let mut received = 0u64;
+            let outcome = (|| loop {
                 let t = Instant::now();
-                let message = read_message(channel);
-                let read_ns = t.elapsed().as_nanos() as u64;
-                let io_ns = span.elapsed().as_nanos() as u64;
-                match message {
+                match read_message(io.link.get()) {
                     Ok(Message::Tables { seq, tables: chunk }) => {
-                        if let Err(e) = check_seq(seq, expected_seq) {
-                            return (io_ns, Err(e));
-                        }
-                        expected_seq += 1;
+                        check_seq(seq, received).map_err(|e| e.in_phase(SessionPhase::Stream))?;
+                        received += 1;
                         if let Some(tel) = live {
-                            tel.chunk_io_ns.record(read_ns);
+                            tel.chunk_io_ns.record(t.elapsed().as_nanos() as u64);
                         }
                         let waited = Instant::now();
                         if chunk_tx.send(chunk).is_err() {
                             let reason = "evaluation stage stopped mid-stream";
-                            return (io_ns, Err(RuntimeError::protocol(reason)));
+                            return Err(RuntimeError::protocol(reason));
                         }
                         starved.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if let Err(e) = maybe_ack(channel, ack_interval, expected_seq) {
-                            return (io_ns, Err(e));
+                        if let Err(e) = maybe_ack(io.link.get(), ack_interval, received) {
+                            // A failed ack is recovered like a failed
+                            // receive: the resume implicitly
+                            // acknowledges the cursor.
+                            io.recover(e, SessionPhase::Stream, received)?;
                         }
                     }
-                    Ok(Message::OutputDecode(decode)) => return (io_ns, Ok(decode)),
+                    Ok(Message::OutputDecode(decode)) => return Ok(decode),
                     Ok(other) => {
-                        let reason =
-                            format!("expected Tables or OutputDecode, received {}", other.name());
-                        return (io_ns, Err(RuntimeError::protocol(reason)));
+                        return Err(RuntimeError::protocol(format!(
+                            "expected Tables or OutputDecode, received {}",
+                            other.name()
+                        ))
+                        .in_phase(SessionPhase::Stream));
                     }
-                    Err(e) => return (io_ns, Err(e)),
+                    Err(e) => io.recover(e, SessionPhase::Stream, received)?,
                 }
-            }
+            })();
+            (span.elapsed().as_nanos() as u64, outcome)
         });
         // Evaluation stage, on the calling thread. Drains everything
-        // the I/O stage queued even after it has exited. Waiting for
-        // the next received chunk is the I/O-starved stall; the final
-        // recv (observing the closed queue) is excluded — that wait is
-        // the stream ending, not a chunk being late.
+        // the receive stage queued even after it has exited. Waiting
+        // for the next received chunk is the I/O-starved stall; the
+        // final recv (observing the closed queue) is excluded — that
+        // wait is the stream ending, not a chunk being late.
         loop {
             let waited = Instant::now();
             let Ok(chunk) = chunk_rx.recv() else { break };
@@ -1425,16 +1738,107 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
                 tel.table_rate.add(chunk.len() as u64);
             }
         }
-        io.join().expect("table receive stage panicked")
+        receiver.join().expect("table receive stage panicked")
     });
     stats.io_ns = io_ns;
-    stats.compute_stall_ns = starved_ns.load(Ordering::Relaxed);
+    stats.compute_stall_ns = starved_ns.into_inner();
     let decode = outcome?;
     stats.wall_ns = start.elapsed().as_nanos() as u64;
     Ok((decode, stats))
 }
 
-fn validate_header(circuit: &Circuit, header: &SessionHeader) -> Result<(), RuntimeError> {
+/// The evaluator's I/O side: the connection and the reconnect hook,
+/// plus what a resume handshake needs. It belongs to the receive stage
+/// during the stream and to the calling thread for the outputs.
+struct EvaluatorIo<C, F> {
+    link: Link<C>,
+    resume: F,
+    ticket: u128,
+    deadlines: SessionDeadlines,
+    resumes: u64,
+}
+
+impl<C, F> EvaluatorIo<C, F>
+where
+    C: Channel,
+    F: FnMut(&RuntimeError, u64) -> Option<C>,
+{
+    /// Shares the outputs back, resuming at `cursor` (past the decode
+    /// frame) if the connection drops first.
+    fn send_outputs(&mut self, outputs: &[bool], cursor: u64) -> Result<(), RuntimeError> {
+        loop {
+            let channel = self.link.get();
+            let sent = write_message(channel, &Message::Outputs(outputs.to_vec()))
+                .and_then(|()| Ok(channel.flush()?));
+            match sent {
+                Ok(()) => return Ok(()),
+                Err(e) => self.recover(e, SessionPhase::Output, cursor)?,
+            }
+        }
+    }
+
+    /// Recovers after a transport failure: the dead channel is dropped
+    /// first, then the hook is asked for a fresh raw connection and the
+    /// resume handshake runs on it — this side sends
+    /// `Resume{ticket, next_seq}` and requires the garbler's
+    /// `ResumeAck` to confirm exactly that cursor; anything else means
+    /// the replay would not continue bit-identically and is fatal.
+    /// Handshake failures re-consult the hook; `None` makes the pending
+    /// failure terminal.
+    fn recover(
+        &mut self,
+        err: RuntimeError,
+        phase: SessionPhase,
+        next_seq: u64,
+    ) -> Result<(), RuntimeError> {
+        let mut err = err.in_phase(phase);
+        loop {
+            self.link.hang_up();
+            if !err.resume_safe() {
+                return Err(err);
+            }
+            let Some(channel) = (self.resume)(&err, next_seq) else {
+                return Err(err);
+            };
+            let channel = self.link.live.insert(channel);
+            let (ticket, deadlines) = (self.ticket, &self.deadlines);
+            let hello = (|| -> Result<(), RuntimeError> {
+                // The chunk budget restarts with the connection.
+                arm_phase(channel, SessionPhase::Stream, deadlines)?;
+                write_message(channel, &Message::Resume { ticket, next_seq })?;
+                channel.flush()?;
+                let Message::ResumeAck { from_seq } = expect_message(channel, "ResumeAck")? else {
+                    unreachable!()
+                };
+                if from_seq != next_seq {
+                    return Err(RuntimeError::protocol(format!(
+                        "garbler resumed from cursor {from_seq}, this side asked for {next_seq}"
+                    )));
+                }
+                Ok(())
+            })();
+            match hello {
+                Ok(()) => {
+                    self.resumes += 1;
+                    return Ok(());
+                }
+                Err(hello_err) => err = hello_err.in_phase(SessionPhase::Stream),
+            }
+        }
+    }
+}
+
+/// Checks the garbler's header against this side's circuit and config.
+/// Running on after a mismatch would not fail fast: a different
+/// schedule desynchronizes the table stream and surfaces as garbage
+/// labels much later, and a different OT mode speaks a different
+/// message sequence that deadlocks or desynchronizes inside the OT
+/// phase.
+fn validate_header(
+    circuit: &Circuit,
+    config: &SessionConfig,
+    header: &SessionHeader,
+) -> Result<(), RuntimeError> {
     let mismatch = |what: &str, ours: u64, theirs: u64| {
         Err(RuntimeError::protocol(format!(
             "circuit mismatch: {what} is {theirs} on the garbler, {ours} here"
@@ -1463,21 +1867,28 @@ fn validate_header(circuit: &Circuit, header: &SessionHeader) -> Result<(), Runt
     if header.chunk_tables == 0 {
         return Err(RuntimeError::protocol("chunk_tables must be positive"));
     }
+    if header.reorder != config.reorder() {
+        return Err(RuntimeError::protocol(format!(
+            "reorder mismatch: the garbler lowered with {}, this side with {}",
+            header.reorder.label(),
+            config.reorder().label()
+        )));
+    }
+    if header.ot_mode != config.ot_mode {
+        return Err(RuntimeError::protocol(format!(
+            "OT mode mismatch: the garbler negotiated {}, this side {}",
+            header.ot_mode.label(),
+            config.ot_mode.label()
+        )));
+    }
+    if header.ack_interval == 0 {
+        // Fail fast instead of discovering at the first cut that the
+        // peer kept no replay bytes.
+        return Err(RuntimeError::protocol(
+            "the garbler announced no ack interval: this session cannot be resumed",
+        ));
+    }
     Ok(())
-}
-
-/// Accounting for the input-label OT phase, whichever mode ran.
-#[derive(Debug, Default, Clone, Copy)]
-struct OtOutcome {
-    /// Evaluator-input labels delivered.
-    transfers: u64,
-    /// Public-key OTs performed (per input in base mode, the ~κ
-    /// bootstrap in extended mode).
-    base_ots: u64,
-    /// Hash-evaluated extension OTs performed (0 in base mode).
-    ext_ots: u64,
-    /// Nanoseconds blocked waiting for the peer's OT messages.
-    io_stall_ns: u64,
 }
 
 /// Chunks the garbler produced ahead of the streaming phase, while the
@@ -1495,20 +1906,24 @@ struct PrefillStats {
 /// stream's warm-up compute, so the input phase overlaps the first
 /// chunks of garbling instead of serializing in front of them. The
 /// prefilled chunks ship (in order) when the streaming phase opens.
-/// `depth == 0` (serial sessions) skips the overlap entirely.
-fn ot_send_extended_overlapped<C: Channel + ?Sized, R: Rng + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
+/// Returns the OT's own wall time next to its outcome: the join that
+/// follows waits for garbling, not for the peer, and the prefill's cost
+/// is reported as stream compute.
+fn ot_send_extended_overlapped<G, C, R>(
+    garbler: &mut G,
     pairs: &[(Block, Block)],
     rng: &mut R,
     channel: &mut C,
     chunk_tables: usize,
     depth: usize,
-) -> Result<(OtOutcome, PrefillStats), RuntimeError> {
-    if depth == 0 {
-        return Ok((ot_send_extended(pairs, rng, channel)?, PrefillStats::default()));
-    }
+) -> Result<(OtOutcome, u64, PrefillStats), RuntimeError>
+where
+    G: GarblerSource + Send,
+    C: Channel + ?Sized,
+    R: Rng + ?Sized,
+{
     let mut prefill = PrefillStats::default();
-    let outcome = std::thread::scope(|scope| {
+    let (outcome, ot_ns) = std::thread::scope(|scope| {
         let stage = scope.spawn(|| {
             let mut pre = PrefillStats::default();
             while pre.chunks.len() < depth {
@@ -1525,238 +1940,13 @@ fn ot_send_extended_overlapped<C: Channel + ?Sized, R: Rng + ?Sized>(
             }
             pre
         });
+        let t = Instant::now();
         let outcome = ot_send_extended(pairs, rng, channel);
+        let ot_ns = t.elapsed().as_nanos() as u64;
         prefill = stage.join().expect("prefill garbling stage panicked");
-        outcome
+        outcome.map(|outcome| (outcome, ot_ns))
     })?;
-    Ok((outcome, prefill))
-}
-
-/// Maps a typed OT-layer failure to the session's protocol error (it
-/// reached us from the trust boundary: every [`haac_gc::OtError`] here
-/// is caused by peer-sent bytes).
-#[cfg(feature = "insecure-ot")]
-fn ot_protocol_error(e: haac_gc::OtError) -> RuntimeError {
-    RuntimeError::protocol(format!("OT: {e}"))
-}
-
-#[cfg(feature = "insecure-ot")]
-fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
-    pairs: &[(Block, Block)],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    use haac_gc::ot::base::OtSender;
-
-    let sender = OtSender::new(rng);
-    write_message(
-        channel,
-        &Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() },
-    )?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtPoints(points) = expect_message(channel, "OtPoints")? else { unreachable!() };
-    let io_stall_ns = waited.elapsed().as_nanos() as u64;
-    if points.len() != pairs.len() {
-        return Err(RuntimeError::protocol("one OT point per evaluator input required"));
-    }
-    // `encrypt` rejects out-of-group points itself: a zero point would
-    // collapse both branch keys to a public value, handing the peer
-    // both labels (and Δ).
-    let cts = sender.encrypt(&points, pairs).map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtCiphertexts(cts))?;
-    Ok(OtOutcome {
-        transfers: pairs.len() as u64,
-        base_ots: pairs.len() as u64,
-        ext_ots: 0,
-        io_stall_ns,
-    })
-}
-
-#[cfg(feature = "insecure-ot")]
-fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    use haac_gc::ot::base::OtReceiver;
-
-    let waited = Instant::now();
-    let Message::OtSetup { point, nonce } = expect_message(channel, "OtSetup")? else {
-        unreachable!()
-    };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
-    // `new` rejects an out-of-group setup point itself: a zero S would
-    // make R_i = 0 exactly when c_i = 1, leaking every choice bit.
-    let receiver = OtReceiver::new(rng, point, Block::from(nonce), evaluator_bits)
-        .map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtPoints(receiver.blinded_points()))?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtCiphertexts(pairs) = expect_message(channel, "OtCiphertexts")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let labels = receiver.decrypt(&pairs).map_err(ot_protocol_error)?;
-    Ok((
-        labels,
-        OtOutcome {
-            transfers: evaluator_bits.len() as u64,
-            base_ots: evaluator_bits.len() as u64,
-            ext_ots: 0,
-            io_stall_ns,
-        },
-    ))
-}
-
-/// Garbler side of the IKNP-style extension: ~κ base OTs with the roles
-/// *reversed* (this side receives, choosing with its secret κ-bit
-/// string) bootstrap per-column PRG seeds, then every evaluator input
-/// label ships under one batched hash of a transposed matrix row — no
-/// public-key work scales with the input count.
-#[cfg(feature = "insecure-ot")]
-fn ot_send_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    pairs: &[(Block, Block)],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    use haac_gc::ot::base::OtReceiver;
-    use haac_gc::{OtExtSender, OT_EXT_KAPPA};
-
-    let ext = OtExtSender::new(rng);
-
-    // Base-OT bootstrap, reversed: the evaluator opens as base-OT
-    // sender and this side receives one PRG seed per extension column.
-    let waited = Instant::now();
-    let Message::OtSetup { point, nonce } = expect_message(channel, "OtSetup")? else {
-        unreachable!()
-    };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
-    let receiver = OtReceiver::new(rng, point, Block::from(nonce), ext.choice_bits())
-        .map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtPoints(receiver.blinded_points()))?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtCiphertexts(cts) = expect_message(channel, "OtCiphertexts")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    if cts.len() != OT_EXT_KAPPA {
-        return Err(RuntimeError::protocol("one base-OT seed pair per extension column required"));
-    }
-    let seeds = receiver.decrypt(&cts).map_err(ot_protocol_error)?;
-
-    let waited = Instant::now();
-    let Message::OtExtMatrix(u_matrix) = expect_message(channel, "OtExtMatrix")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let masked = ext.process(&seeds, &u_matrix, pairs).map_err(ot_protocol_error)?;
-    // Unflushed on purpose: the streaming phase's first flush carries
-    // the masked labels, exactly like the base path's ciphertexts.
-    write_message(channel, &Message::OtExtLabels(masked))?;
-    Ok(OtOutcome {
-        transfers: pairs.len() as u64,
-        base_ots: OT_EXT_KAPPA as u64,
-        ext_ots: pairs.len() as u64,
-        io_stall_ns,
-    })
-}
-
-/// Evaluator side of the extension: this side plays base-OT *sender*
-/// (delivering seed pairs), ships the masked choice matrix, and unmasks
-/// its chosen labels from one hash per input.
-#[cfg(feature = "insecure-ot")]
-fn ot_receive_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    use haac_gc::ot::base::OtSender;
-    use haac_gc::{OtExtReceiver, OT_EXT_KAPPA};
-
-    let mut ext = OtExtReceiver::new(rng, evaluator_bits);
-
-    let sender = OtSender::new(rng);
-    write_message(
-        channel,
-        &Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() },
-    )?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtPoints(points) = expect_message(channel, "OtPoints")? else { unreachable!() };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
-    if points.len() != OT_EXT_KAPPA {
-        return Err(RuntimeError::protocol("one base-OT point per extension column required"));
-    }
-    let cts = sender.encrypt(&points, ext.seed_pairs()).map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtCiphertexts(cts))?;
-    write_message(channel, &Message::OtExtMatrix(ext.u_matrix()))?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtExtLabels(masked) = expect_message(channel, "OtExtLabels")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let labels = ext.decrypt(&masked).map_err(ot_protocol_error)?;
-    Ok((
-        labels,
-        OtOutcome {
-            transfers: evaluator_bits.len() as u64,
-            base_ots: OT_EXT_KAPPA as u64,
-            ext_ots: evaluator_bits.len() as u64,
-            io_stall_ns,
-        },
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _pairs: &[(Block, Block)],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _evaluator_bits: &[bool],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_send_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _pairs: &[(Block, Block)],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_receive_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _evaluator_bits: &[bool],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
+    Ok((outcome, ot_ns, prefill))
 }
 
 /// Runs a complete session in-process: garbler and evaluator threads
@@ -1861,7 +2051,7 @@ pub fn run_tcp_session(
 
 /// Drives both roles on scoped threads over an already-paired transport.
 /// The one `config` governs both sides (the evaluator shares the
-/// garbler's plan and pipeline mode — no second lowering).
+/// garbler's plan and ring depth — no second lowering).
 fn run_session_pair<C: Channel + Send>(
     circuit: &Circuit,
     garbler_bits: &[bool],
@@ -1887,920 +2077,6 @@ fn run_session_pair<C: Channel + Send>(
         let garbler_report = garbler.join().expect("garbler thread panicked");
         let evaluator_report = evaluator.join().expect("evaluator thread panicked");
         Ok((garbler_report?, evaluator_report?))
-    })
-}
-
-/// Bounded store of the framed wire bytes of every
-/// not-yet-acknowledged stream frame (table chunks and the
-/// output-decode tail), addressed by sequence number. Resume is **byte
-/// replay** out of this buffer: the exact bytes are re-sent and labels
-/// are never re-derived, so the one-time-label invariant holds by
-/// construction.
-struct ReplayBuffer {
-    frames: VecDeque<(u64, Vec<u8>)>,
-    /// Sequence number the next pushed frame gets.
-    next_seq: u64,
-    /// Cumulative ack cursor: every frame below it has been released.
-    acked: u64,
-}
-
-impl ReplayBuffer {
-    fn new() -> ReplayBuffer {
-        ReplayBuffer { frames: VecDeque::new(), next_seq: 0, acked: 0 }
-    }
-
-    /// Stores a frame's wire bytes under the next sequence number.
-    fn push(&mut self, bytes: Vec<u8>) {
-        self.frames.push_back((self.next_seq, bytes));
-        self.next_seq += 1;
-    }
-
-    /// Applies a cumulative (exclusive) ack: frames below `upto` are
-    /// released. Stale cursors are ignored; a cursor past everything
-    /// produced is a protocol violation.
-    fn ack(&mut self, upto: u64) -> Result<(), RuntimeError> {
-        if upto > self.next_seq {
-            return Err(RuntimeError::protocol(format!(
-                "peer acknowledged stream cursor {upto} but only {} frames were produced",
-                self.next_seq
-            )));
-        }
-        if upto > self.acked {
-            self.acked = upto;
-            while self.frames.front().is_some_and(|(seq, _)| *seq < upto) {
-                self.frames.pop_front();
-            }
-        }
-        Ok(())
-    }
-
-    /// Frames produced but not yet acknowledged.
-    fn unacked(&self) -> u64 {
-        self.next_seq - self.acked
-    }
-}
-
-/// Counters a resumable driver accumulates across reconnects.
-#[derive(Debug, Default, Clone, Copy)]
-struct ResumeCounters {
-    resumes: u64,
-    replayed_frames: u64,
-}
-
-/// Folds one connection's traffic counters into a running total, so a
-/// resumed session's report covers every channel it ran over.
-fn absorb_stats(total: &mut ChannelStats, stats: &ChannelStats) {
-    total.bytes_sent += stats.bytes_sent;
-    total.bytes_received += stats.bytes_received;
-    total.flushes += stats.flushes;
-}
-
-/// Recovers the garbler side of a resumable session after a transport
-/// failure: the dead channel is dropped first (its traffic folded into
-/// `carried`; the peer only observes the disconnect once the channel is
-/// gone), then the `resume` callback is asked for a fresh channel plus
-/// the evaluator's requested cursor, and every buffered frame at or
-/// past that cursor is replayed byte-for-byte. Failures during the
-/// replay re-consult the callback; the callback returning `None` makes
-/// the pending failure terminal, as does any non-resumable failure.
-#[allow(clippy::too_many_arguments)]
-fn garbler_recover<C, F>(
-    dead: C,
-    err: RuntimeError,
-    phase: SessionPhase,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    counters: &mut ResumeCounters,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    let mut err = err.in_phase(phase);
-    absorb_stats(carried, &dead.stats());
-    drop(dead);
-    loop {
-        if !err.resume_safe() {
-            return Err(err);
-        }
-        let Some((mut channel, next_seq)) = resume(&err, buffer.next_seq) else {
-            return Err(err);
-        };
-        match garbler_replay(&mut channel, next_seq, buffer, deadlines, counters) {
-            Ok(()) => return Ok(channel),
-            Err(replay_err) => {
-                absorb_stats(carried, &channel.stats());
-                drop(channel);
-                err = replay_err;
-            }
-        }
-    }
-}
-
-/// Confirms the evaluator's cursor with a `ResumeAck` on a fresh
-/// channel and replays every buffered frame at or past it. Frames below
-/// the cursor are implicitly acknowledged — the evaluator vouching for
-/// them is as good as an ack. The stream deadline is re-armed on the
-/// new channel, so the per-chunk progress budget is per connection, not
-/// cumulative across reconnects.
-fn garbler_replay<C: Channel>(
-    channel: &mut C,
-    next_seq: u64,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    counters: &mut ResumeCounters,
-) -> Result<(), RuntimeError> {
-    if next_seq > buffer.next_seq {
-        return Err(RuntimeError::protocol(format!(
-            "resume cursor {next_seq} is past the {} frames produced",
-            buffer.next_seq
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-    if next_seq < buffer.acked {
-        return Err(RuntimeError::protocol(format!(
-            "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes were \
-             released and cannot be replayed",
-            buffer.acked
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-    arm_phase(channel, SessionPhase::Stream, deadlines)?;
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
-        buffer.ack(next_seq)?;
-        for (seq, bytes) in &buffer.frames {
-            debug_assert!(*seq >= next_seq);
-            channel.send(bytes)?;
-            counters.replayed_frames += 1;
-        }
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    counters.resumes += 1;
-    Ok(())
-}
-
-/// Buffers a frame's bytes in the replay buffer, then sends and flushes
-/// them — recovering through the resume callback on a transport
-/// failure. After a successful recovery the frame has already been
-/// replayed out of the buffer, so the send is not repeated.
-#[allow(clippy::too_many_arguments)]
-fn ship_frame<C, F>(
-    mut channel: C,
-    frame: Vec<u8>,
-    phase: SessionPhase,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    counters: &mut ResumeCounters,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    buffer.push(frame);
-    let sent = {
-        let (_, bytes) = buffer.frames.back().expect("frame was just pushed");
-        channel.send(bytes).and_then(|()| channel.flush())
-    };
-    match sent {
-        Ok(()) => Ok(channel),
-        Err(e) => {
-            garbler_recover(channel, e.into(), phase, buffer, deadlines, carried, counters, resume)
-        }
-    }
-}
-
-/// Runs the garbler side of a **resumable** streaming session.
-///
-/// Every stream frame's wire bytes (table chunks and the output-decode
-/// tail, in one sequence space) are retained in a bounded replay buffer
-/// until the evaluator's periodic cumulative `ChunkAck` releases them;
-/// the buffer is capped at two ack windows (`2 × ack_interval` frames)
-/// and a garbler that outruns the acks blocks on the next one —
-/// backpressure, not growth. A transport failure past the retry-safety
-/// boundary ([`RuntimeError::resume_safe`]) consults the `resume`
-/// callback instead of tearing down: the callback receives the failure
-/// and the number of frames produced so far, and returns a reconnected
-/// channel plus the evaluator's requested cursor (learned from the
-/// peer's `Resume` frame, which the callback — not this driver — is
-/// expected to have consumed), or `None` to give up. Resume is byte
-/// replay: unacknowledged frames are re-sent verbatim and nothing is
-/// ever re-garbled, so the one-time-label invariant holds by
-/// construction.
-///
-/// Streaming is serial (no compute/I-O overlap): the replay-buffer
-/// invariant — bytes are buffered before they are sent — stays
-/// trivially true without threading frames through the pipeline ring,
-/// at the cost of the overlap the pipelined driver buys.
-///
-/// # Errors
-///
-/// Fails on pre-stream failures (which are retry-safe, never resumed),
-/// on protocol violations, and on resumable failures once the callback
-/// declines to provide a new channel.
-pub fn run_garbler_resumable<C, R, F>(
-    circuit: &Circuit,
-    garbler_bits: &[bool],
-    rng: &mut R,
-    config: &SessionConfig,
-    mut channel: C,
-    resume: F,
-) -> Result<SessionReport, RuntimeError>
-where
-    C: Channel,
-    R: Rng + ?Sized,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    if garbler_bits.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "garbler input width {} does not match circuit ({})",
-            garbler_bits.len(),
-            circuit.garbler_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
-    let start = Instant::now();
-    write_resumable_header(circuit, config, &mut channel)?;
-    let plan = config.plan.clone();
-    let garbler = match &plan {
-        Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
-        None => StreamingGarbler::new(circuit, rng, config.scheme),
-    };
-    stream_garbler_resumable(circuit, garbler_bits, garbler, rng, config, channel, resume, start)
-}
-
-/// Runs the garbler side of a resumable session from a **banked
-/// pre-garbled instance**: stored tables are replayed byte-for-byte
-/// while only the handshake and OT/input phase compute online. The wire
-/// protocol, ack/replay machinery, and park/resume behavior are exactly
-/// [`run_garbler_resumable`]'s — the evaluator cannot tell a banked
-/// session from an online-garbled one (and must not: the outputs are
-/// identical by construction, only Δ and the labels differ).
-///
-/// Takes the instance by value: a claimed instance is consumed whether
-/// the session succeeds or fails, so one instance can never label two
-/// evaluators (FreeXOR one-time-use, enforced by move semantics).
-///
-/// # Errors
-///
-/// Fails like [`run_garbler_resumable`], plus a protocol error when the
-/// instance's dimensions (inputs / tables / outputs) do not match
-/// `circuit` — a stale or mis-keyed bank entry is refused before any
-/// byte is streamed.
-pub fn run_garbler_banked<C, R, F>(
-    circuit: &Circuit,
-    garbler_bits: &[bool],
-    instance: PlanGarbling,
-    rng: &mut R,
-    config: &SessionConfig,
-    mut channel: C,
-    resume: F,
-) -> Result<SessionReport, RuntimeError>
-where
-    C: Channel,
-    R: Rng + ?Sized,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    if garbler_bits.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "garbler input width {} does not match circuit ({})",
-            garbler_bits.len(),
-            circuit.garbler_inputs()
-        )));
-    }
-    if instance.input_zero_labels.len() != circuit.num_inputs() as usize
-        || instance.tables.len() != circuit.num_and_gates()
-        || instance.output_decode.len() != circuit.outputs().len()
-    {
-        return Err(RuntimeError::protocol(format!(
-            "banked instance shape ({} inputs, {} tables, {} outputs) does not match the \
-             circuit ({}, {}, {}) — stale or mis-keyed bank entry",
-            instance.input_zero_labels.len(),
-            instance.tables.len(),
-            instance.output_decode.len(),
-            circuit.num_inputs(),
-            circuit.num_and_gates(),
-            circuit.outputs().len(),
-        )));
-    }
-    let start = Instant::now();
-    write_resumable_header(circuit, config, &mut channel)?;
-    let garbler = BankedGarbler::new(instance);
-    stream_garbler_resumable(circuit, garbler_bits, garbler, rng, config, channel, resume, start)
-}
-
-/// The resumable session header: identical for online and banked
-/// garblers — which is the point, the evaluator drives one protocol.
-fn write_resumable_header<C: Channel>(
-    circuit: &Circuit,
-    config: &SessionConfig,
-    channel: &mut C,
-) -> Result<(), RuntimeError> {
-    arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
-    write_message(
-        channel,
-        &Message::Header(SessionHeader {
-            garbler_inputs: circuit.garbler_inputs(),
-            evaluator_inputs: circuit.evaluator_inputs(),
-            num_gates: circuit.num_gates() as u64,
-            num_tables: circuit.num_and_gates() as u64,
-            scheme: config.scheme,
-            window_wires: config.window.sww_wires(),
-            chunk_tables: config.chunk_tables() as u32,
-            reorder: config.reorder(),
-            ot_mode: config.ot_mode,
-            ack_interval: config.ack_interval.max(1),
-        }),
-    )
-    .map_err(|e| e.in_phase(SessionPhase::Handshake))
-}
-
-/// What the resumable streaming loop needs from a garbler: input labels
-/// until streaming starts, chunks in stream order, and a consuming
-/// finish. [`StreamingGarbler`] garbles chunks online;
-/// [`BankedGarbler`] replays them from storage — the loop cannot tell
-/// the difference, which is what keeps the two paths wire-identical.
-pub trait GarblerSource {
-    /// Active labels for the garbler's own input bits.
-    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block>;
-    /// The `(zero, one)` label pair of a primary input wire (OT fodder).
-    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block);
-    /// Produces the next chunk of up to `max_tables` tables; `false`
-    /// once the stream is exhausted.
-    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool;
-    /// Current OoRW-queue occupancy (0 for replay).
-    fn oor_queue_len(&self) -> usize;
-    /// Ends the stream, yielding the decode string and meters.
-    fn finish(self) -> GarblerFinish;
-}
-
-impl GarblerSource for StreamingGarbler<'_> {
-    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block> {
-        StreamingGarbler::garbler_input_labels(self, garbler_bits)
-    }
-    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block) {
-        StreamingGarbler::input_label_pair(self, wire)
-    }
-    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
-        StreamingGarbler::next_tables_into(self, max_tables, tables)
-    }
-    fn oor_queue_len(&self) -> usize {
-        StreamingGarbler::oor_queue_len(self)
-    }
-    fn finish(self) -> GarblerFinish {
-        StreamingGarbler::finish(self)
-    }
-}
-
-impl GarblerSource for BankedGarbler {
-    fn garbler_input_labels(&self, garbler_bits: &[bool]) -> Vec<Block> {
-        BankedGarbler::garbler_input_labels(self, garbler_bits)
-    }
-    fn input_label_pair(&self, wire: haac_circuit::WireId) -> (Block, Block) {
-        BankedGarbler::input_label_pair(self, wire)
-    }
-    fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
-        BankedGarbler::next_tables_into(self, max_tables, tables)
-    }
-    fn oor_queue_len(&self) -> usize {
-        BankedGarbler::oor_queue_len(self)
-    }
-    fn finish(self) -> GarblerFinish {
-        BankedGarbler::finish(self)
-    }
-}
-
-/// The post-header body of a resumable garbler session, generic over
-/// where tables come from (online garbling or bank replay): input-label
-/// delivery, OT, the ack-bounded streaming loop with byte replay on
-/// failure, the decode tail, and the shared outputs.
-#[allow(clippy::too_many_arguments)]
-fn stream_garbler_resumable<G, C, R, F>(
-    circuit: &Circuit,
-    garbler_bits: &[bool],
-    mut garbler: G,
-    rng: &mut R,
-    config: &SessionConfig,
-    mut channel: C,
-    mut resume: F,
-    start: Instant,
-) -> Result<SessionReport, RuntimeError>
-where
-    G: GarblerSource,
-    C: Channel,
-    R: Rng + ?Sized,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    let chunk_tables = config.chunk_tables();
-    let ack_interval = config.ack_interval.max(1);
-    let buffer_cap = u64::from(ack_interval) * 2;
-    write_message(
-        &mut channel,
-        &Message::GarblerInputs(garbler.garbler_input_labels(garbler_bits)),
-    )
-    .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
-
-    let evaluator_pairs: Vec<(Block, Block)> = (0..circuit.evaluator_inputs())
-        .map(|i| garbler.input_label_pair(circuit.garbler_inputs() + i))
-        .collect();
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let ot = match config.ot_mode {
-        OtMode::Base => ot_send(&evaluator_pairs, rng, &mut channel)
-            .map_err(|e| e.in_phase(SessionPhase::Ot))?,
-        OtMode::Extended => {
-            // The extension opens with a receive (the evaluator's
-            // OtSetup), so the queued header must actually go out.
-            channel.flush().map_err(|e| RuntimeError::from(e).in_phase(SessionPhase::Ot))?;
-            ot_send_extended(&evaluator_pairs, rng, &mut channel)
-                .map_err(|e| e.in_phase(SessionPhase::Ot))?
-        }
-    };
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
-
-    arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
-    let stream_start = Instant::now();
-    let mut stats = StreamStats::default();
-    let mut buffer = ReplayBuffer::new();
-    let mut counters = ResumeCounters::default();
-    let mut carried = ChannelStats::default();
-    let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
-    loop {
-        // Bounded replay buffer: block for acks before garbling on.
-        while buffer.unacked() >= buffer_cap {
-            match read_message(&mut channel) {
-                Ok(Message::ChunkAck { upto_seq }) => {
-                    buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Stream))?;
-                }
-                Ok(other) => {
-                    return Err(RuntimeError::protocol(format!(
-                        "expected ChunkAck, received {}",
-                        other.name()
-                    ))
-                    .in_phase(SessionPhase::Stream));
-                }
-                Err(e) => {
-                    channel = garbler_recover(
-                        channel,
-                        e,
-                        SessionPhase::Stream,
-                        &mut buffer,
-                        &config.deadlines,
-                        &mut carried,
-                        &mut counters,
-                        &mut resume,
-                    )?;
-                }
-            }
-        }
-        let t = Instant::now();
-        let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-        let compute_ns = t.elapsed().as_nanos() as u64;
-        stats.compute_ns += compute_ns;
-        if !more {
-            break;
-        }
-        if chunk.is_empty() {
-            continue;
-        }
-        stats.tables += chunk.len() as u64;
-        stats.chunks += 1;
-        if let Some(tel) = live {
-            tel.chunk_compute_ns.record(compute_ns);
-            tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-        }
-        let frame = encode_tables_frame(buffer.next_seq, &chunk)
-            .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-        let t = Instant::now();
-        channel = ship_frame(
-            channel,
-            frame,
-            SessionPhase::Stream,
-            &mut buffer,
-            &config.deadlines,
-            &mut carried,
-            &mut counters,
-            &mut resume,
-        )?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        stats.io_ns += io_ns;
-        if let Some(tel) = live {
-            tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
-        }
-    }
-    stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
-
-    // The output-decode tail rides in the same sequence space (cursor =
-    // chunk count), so a cut between the last chunk and the decode — or
-    // between the decode and the shared outputs — replays exactly the
-    // frames the evaluator is missing.
-    let finish = garbler.finish();
-    let decode_frame = encode_frame(&Message::OutputDecode(finish.output_decode))
-        .map_err(|e| e.in_phase(SessionPhase::Output))?;
-    channel = ship_frame(
-        channel,
-        decode_frame,
-        SessionPhase::Output,
-        &mut buffer,
-        &config.deadlines,
-        &mut carried,
-        &mut counters,
-        &mut resume,
-    )?;
-
-    let outputs = loop {
-        match read_message(&mut channel) {
-            // Late acks from the stream's tail are still applied — they
-            // release replay bytes held for a resume that never came.
-            Ok(Message::ChunkAck { upto_seq }) => {
-                buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Output))?;
-            }
-            Ok(Message::Outputs(outputs)) => break outputs,
-            Ok(other) => {
-                return Err(RuntimeError::protocol(format!(
-                    "expected Outputs, received {}",
-                    other.name()
-                ))
-                .in_phase(SessionPhase::Output));
-            }
-            Err(e) => {
-                channel = garbler_recover(
-                    channel,
-                    e,
-                    SessionPhase::Output,
-                    &mut buffer,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut counters,
-                    &mut resume,
-                )?;
-            }
-        }
-    };
-    if outputs.len() != circuit.outputs().len() {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator shared {} outputs, circuit has {}",
-            outputs.len(),
-            circuit.outputs().len()
-        )));
-    }
-
-    let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &carried);
-    Ok(SessionReport {
-        role: SessionRole::Garbler,
-        outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables: stats.tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= config.window.sww_wires() as usize,
-        ot_transfers: ot.transfers,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: counters.resumes,
-        replayed_frames: counters.replayed_frames,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Recovers the evaluator side of a resumable session: the dead channel
-/// is dropped first (its traffic folded into `carried`; the peer only
-/// observes the disconnect once the channel is gone), then the `resume`
-/// callback is asked for a fresh raw connection and the resume
-/// handshake runs on it — this side sends `Resume{ticket, next_seq}`
-/// and requires the garbler's `ResumeAck` to confirm exactly that
-/// cursor; anything else means the replay would not continue
-/// bit-identically and is fatal. Handshake failures re-consult the
-/// callback; `None` makes the pending failure terminal.
-#[allow(clippy::too_many_arguments)]
-fn evaluator_recover<C, F>(
-    dead: C,
-    err: RuntimeError,
-    phase: SessionPhase,
-    ticket: u128,
-    next_seq: u64,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    resumes: &mut u64,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<C>,
-{
-    let mut err = err.in_phase(phase);
-    absorb_stats(carried, &dead.stats());
-    drop(dead);
-    loop {
-        if !err.resume_safe() {
-            return Err(err);
-        }
-        let Some(mut channel) = resume(&err, next_seq) else {
-            return Err(err);
-        };
-        let hello = (|| -> Result<(), RuntimeError> {
-            // The chunk budget restarts with the connection.
-            arm_phase(&mut channel, SessionPhase::Stream, deadlines)?;
-            write_message(&mut channel, &Message::Resume { ticket, next_seq })?;
-            channel.flush()?;
-            let Message::ResumeAck { from_seq } = expect_message(&mut channel, "ResumeAck")? else {
-                unreachable!()
-            };
-            if from_seq != next_seq {
-                return Err(RuntimeError::protocol(format!(
-                    "garbler resumed from cursor {from_seq}, this side asked for {next_seq}"
-                )));
-            }
-            Ok(())
-        })()
-        .map_err(|e| e.in_phase(SessionPhase::Stream));
-        match hello {
-            Ok(()) => {
-                *resumes += 1;
-                return Ok(channel);
-            }
-            Err(hello_err) => {
-                absorb_stats(carried, &channel.stats());
-                drop(channel);
-                err = hello_err;
-            }
-        }
-    }
-}
-
-/// Runs the evaluator side of a **resumable** streaming session.
-///
-/// The slab/OoRW evaluation state lives on this side of the channel, so
-/// it survives a transport swap by construction; what this driver adds
-/// is the cursor protocol around it. Every `ack_interval` chunks (the
-/// cadence the garbler announces in its header) the evaluator sends a
-/// cumulative `ChunkAck` releasing the garbler's replay bytes. On a
-/// resumable transport failure ([`RuntimeError::resume_safe`]) the
-/// `resume` callback is asked for a fresh raw connection — it owns
-/// reconnect policy and backoff, returning `None` to give up — and the
-/// driver runs the resume handshake itself: `Resume{ticket, next_seq}`
-/// out, `ResumeAck` back confirming the exact cursor, after which the
-/// replayed bytes continue the stream bit-identically (the sequence
-/// check fails loudly if they do not).
-///
-/// `ticket` is the opaque resume token the serving layer issued with
-/// the session; pure-runtime peers just agree on a value out of band.
-///
-/// # Errors
-///
-/// Fails on pre-stream failures (retry-safe, never resumed), protocol
-/// violations — including a garbler that announces `ack_interval` 0,
-/// i.e. one that cannot resume — and resumable failures once the
-/// callback declines to reconnect.
-pub fn run_evaluator_resumable<C, R, F>(
-    circuit: &Circuit,
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    config: &SessionConfig,
-    mut channel: C,
-    ticket: u128,
-    mut resume: F,
-) -> Result<SessionReport, RuntimeError>
-where
-    C: Channel,
-    R: Rng + ?Sized,
-    F: FnMut(&RuntimeError, u64) -> Option<C>,
-{
-    if evaluator_bits.len() != circuit.evaluator_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator input width {} does not match circuit ({})",
-            evaluator_bits.len(),
-            circuit.evaluator_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
-    let start = Instant::now();
-
-    arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
-    let Message::Header(header) =
-        expect_message(&mut channel, "Header").map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    validate_header(circuit, &header)?;
-    if header.reorder != config.reorder() {
-        return Err(RuntimeError::protocol(format!(
-            "reorder mismatch: the garbler lowered with {}, this side with {}",
-            header.reorder.label(),
-            config.reorder().label()
-        )));
-    }
-    if header.ot_mode != config.ot_mode {
-        return Err(RuntimeError::protocol(format!(
-            "OT mode mismatch: the garbler negotiated {}, this side {}",
-            header.ot_mode.label(),
-            config.ot_mode.label()
-        )));
-    }
-    if header.ack_interval == 0 {
-        // Fail fast instead of discovering at the first cut that the
-        // peer kept no replay bytes.
-        return Err(RuntimeError::protocol(
-            "the garbler announced no ack interval: this session cannot be resumed",
-        ));
-    }
-
-    let Message::GarblerInputs(garbler_labels) = expect_message(&mut channel, "GarblerInputs")
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    if garbler_labels.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol("garbler label count mismatch"));
-    }
-
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let (own_labels, ot) = match header.ot_mode {
-        OtMode::Base => ot_receive(evaluator_bits, rng, &mut channel),
-        OtMode::Extended => ot_receive_extended(evaluator_bits, rng, &mut channel),
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
-
-    let mut input_labels = garbler_labels;
-    input_labels.extend(own_labels);
-    let plan = config.plan.clone();
-    let mut evaluator = match &plan {
-        Some(plan) => StreamingEvaluator::with_plan(&plan.program, input_labels, header.scheme),
-        None => StreamingEvaluator::new(circuit, input_labels, header.scheme),
-    };
-
-    arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
-    let stream_start = Instant::now();
-    let mut stats = StreamStats::default();
-    let mut carried = ChannelStats::default();
-    let mut resumes = 0u64;
-    let output_decode = loop {
-        let t = Instant::now();
-        match read_message(&mut channel) {
-            Ok(Message::Tables { seq, tables: chunk }) => {
-                let io_ns = t.elapsed().as_nanos() as u64;
-                stats.io_ns += io_ns;
-                check_seq(seq, stats.chunks).map_err(|e| e.in_phase(SessionPhase::Stream))?;
-                stats.chunks += 1;
-                stats.tables += chunk.len() as u64;
-                let t = Instant::now();
-                evaluator.feed(&chunk);
-                let compute_ns = t.elapsed().as_nanos() as u64;
-                stats.compute_ns += compute_ns;
-                if let Some(tel) = live {
-                    tel.chunk_io_ns.record(io_ns);
-                    tel.chunk_compute_ns.record(compute_ns);
-                    tel.oor_occupancy.record(evaluator.oor_queue_len() as u64);
-                    tel.tables.add(chunk.len() as u64);
-                    tel.table_rate.add(chunk.len() as u64);
-                }
-                if let Err(e) = maybe_ack(&mut channel, header.ack_interval, stats.chunks) {
-                    // A failed ack is recovered like a failed receive:
-                    // the resume implicitly acknowledges the cursor.
-                    channel = evaluator_recover(
-                        channel,
-                        e,
-                        SessionPhase::Stream,
-                        ticket,
-                        stats.chunks,
-                        &config.deadlines,
-                        &mut carried,
-                        &mut resumes,
-                        &mut resume,
-                    )?;
-                }
-            }
-            Ok(Message::OutputDecode(decode)) => break decode,
-            Ok(other) => {
-                return Err(RuntimeError::protocol(format!(
-                    "expected Tables or OutputDecode, received {}",
-                    other.name()
-                ))
-                .in_phase(SessionPhase::Stream));
-            }
-            Err(e) => {
-                channel = evaluator_recover(
-                    channel,
-                    e,
-                    SessionPhase::Stream,
-                    ticket,
-                    stats.chunks,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut resumes,
-                    &mut resume,
-                )?;
-            }
-        }
-    };
-    stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
-    if !evaluator.is_done() {
-        return Err(RuntimeError::protocol(format!(
-            "table stream ended early: consumed {} of {} tables",
-            evaluator.tables_consumed(),
-            header.num_tables
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-
-    let tables = evaluator.tables_consumed();
-    let finish = evaluator.finish(&output_decode);
-    // Cursor past the decode frame: on a resume here the garbler
-    // replays nothing and just re-awaits the shared outputs.
-    let final_cursor = stats.chunks + 1;
-    loop {
-        let sent = (|| -> Result<(), RuntimeError> {
-            write_message(&mut channel, &Message::Outputs(finish.outputs.clone()))?;
-            Ok(channel.flush()?)
-        })();
-        match sent {
-            Ok(()) => break,
-            Err(e) => {
-                channel = evaluator_recover(
-                    channel,
-                    e,
-                    SessionPhase::Output,
-                    ticket,
-                    final_cursor,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut resumes,
-                    &mut resume,
-                )?;
-            }
-        }
-    }
-
-    let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &carried);
-    Ok(SessionReport {
-        role: SessionRole::Evaluator,
-        outputs: finish.outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= header.window_wires as usize,
-        ot_transfers: circuit.evaluator_inputs() as u64,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes,
-        replayed_frames: 0,
-        elapsed: start.elapsed(),
     })
 }
 
@@ -2944,17 +2220,15 @@ mod tests {
         let c = adder(24);
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(2);
         let (g, e) = run_local_session(&c, &to_bits(10, 24), &to_bits(20, 24), 6, &config).unwrap();
-        // Pipelined rings: stall attribution is measured, serial-only
-        // fields stay coherent with the stage totals.
+        // Both roles run a ring, and the OT phase is metered.
         assert!(g.pipeline_depth >= 1 && e.pipeline_depth >= 1);
         assert!(g.ot_ns > 0 && e.ot_ns > 0);
-        // Serial sessions never attribute stalls.
-        let serial = config.clone().with_pipeline(false);
-        let (gs, es) =
-            run_local_session(&c, &to_bits(10, 24), &to_bits(20, 24), 6, &serial).unwrap();
-        assert_eq!((gs.compute_stall_ns, gs.io_stall_ns), (0, 0));
-        assert_eq!((es.compute_stall_ns, es.io_stall_ns), (0, 0));
-        assert_eq!(gs.oor_queue_peak, 0, "in-window plan never queues OoR reads");
+        // On the driving thread, compute and waits for the I/O stage
+        // tile the streaming wall clock (loop overhead aside).
+        for r in [&g, &e] {
+            assert!(r.compute_ns + r.io_stall_ns <= r.stream_ns, "{r:?}");
+        }
+        assert_eq!(g.oor_queue_peak, 0, "in-window plan never queues OoR reads");
     }
 
     #[test]
@@ -2975,7 +2249,8 @@ mod tests {
     fn serial_and_pipelined_sessions_put_identical_bytes_on_the_wire() {
         let c = adder(24);
         let base = SessionConfig::for_circuit(&c).with_chunk_tables(3);
-        let serial = base.clone().with_pipeline(false);
+        // A one-buffer ring strictly alternates garbling and shipping.
+        let serial = base.clone().with_pipeline_depth(1);
         let (gs, es) =
             run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &serial).unwrap();
         let (gp, ep) = run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &base).unwrap();
@@ -2986,9 +2261,8 @@ mod tests {
         assert_eq!(gs.table_chunks, gp.table_chunks);
         assert_eq!(es.bytes_received, ep.bytes_received);
         assert_eq!(es.table_chunks, ep.table_chunks);
-        // Serial sessions never report overlap.
+        // A strictly alternating garbler never reports overlap.
         assert_eq!(gs.overlap_ratio, 0.0);
-        assert_eq!(es.overlap_ratio, 0.0);
         assert!(gp.overlap_ratio >= 0.0 && gp.overlap_ratio <= 1.0);
     }
 
@@ -3151,11 +2425,14 @@ mod tests {
         let (g, e) = run_local_session(&c, &to_bits(3, 24), &to_bits(4, 24), 6, &pinned).unwrap();
         assert_eq!(g.pipeline_depth, 5);
         assert_eq!(e.pipeline_depth, 5);
-        // Serial sessions have no ring.
-        let serial = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_pipeline(false);
+        // The strictly alternating schedule is a one-buffer ring, and
+        // pins clamp to the ceiling.
+        let serial = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_pipeline_depth(1);
         let (gs, es) = run_local_session(&c, &to_bits(3, 24), &to_bits(4, 24), 6, &serial).unwrap();
-        assert_eq!(gs.pipeline_depth, 0);
-        assert_eq!(es.pipeline_depth, 0);
+        assert_eq!(gs.pipeline_depth, 1);
+        assert_eq!(es.pipeline_depth, 1);
+        let wide = SessionConfig::for_circuit(&c).with_pipeline_depth(100);
+        assert_eq!(wide.pipeline_depth, Some(MAX_PIPELINE_DEPTH));
         // Autotuned: starts at the default and may only widen, bounded
         // by the ceiling; the wire bytes are identical regardless.
         let auto = SessionConfig::for_circuit(&c).with_chunk_tables(2);
@@ -3214,7 +2491,7 @@ mod tests {
         let c = adder(24);
         let ext =
             SessionConfig::for_circuit(&c).with_chunk_tables(3).with_ot_mode(OtMode::Extended);
-        let serial = ext.clone().with_pipeline(false);
+        let serial = ext.clone().with_pipeline_depth(1);
         let (gs, es) =
             run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &serial).unwrap();
         let (gp, ep) = run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &ext).unwrap();
@@ -3330,7 +2607,7 @@ mod tests {
         std::thread::scope(|scope| {
             let garbler = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let callback = |_err: &RuntimeError, _produced: u64| {
+                let callback = move |_err: &RuntimeError, _produced: u64| {
                     let mut channel = wrap(handoff_rx.recv().ok()?);
                     let Ok(Message::Resume { ticket: got, next_seq }) = read_message(&mut channel)
                     else {
@@ -3659,18 +2936,30 @@ mod tests {
     fn resumable_evaluator_refuses_a_garbler_without_acks() {
         use rand::rngs::StdRng;
 
-        // The plain garbler announces ack_interval 0 — no acks, no
-        // replay buffer. A resumable evaluator must refuse at the
-        // header instead of discovering at the first cut that the peer
-        // kept no replay bytes.
+        // A garbler announcing ack_interval 0 keeps no replay buffer.
+        // Every driver here announces at least 1, so a scripted peer
+        // sends the header; the evaluator must refuse it instead of
+        // discovering at the first cut that the peer kept no replay
+        // bytes.
         let c = adder(16);
         let config = SessionConfig::for_circuit(&c);
         let (mut g_end, e_end) = crate::channel::MemChannel::pair();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let mut rng = StdRng::seed_from_u64(1);
-                // Fails when the evaluator hangs up; that is the point.
-                let _ = run_garbler(&c, &to_bits(1, 16), &mut rng, &config, &mut g_end);
+                let header = SessionHeader {
+                    garbler_inputs: c.garbler_inputs(),
+                    evaluator_inputs: c.evaluator_inputs(),
+                    num_gates: c.num_gates() as u64,
+                    num_tables: c.num_and_gates() as u64,
+                    scheme: config.scheme,
+                    window_wires: config.window.sww_wires(),
+                    chunk_tables: config.chunk_tables() as u32,
+                    reorder: config.reorder(),
+                    ot_mode: config.ot_mode,
+                    ack_interval: 0,
+                };
+                write_message(&mut g_end, &Message::Header(header)).unwrap();
+                g_end.flush().unwrap();
             });
             let mut rng = StdRng::seed_from_u64(2);
             let err = run_evaluator_resumable(
@@ -3721,5 +3010,136 @@ mod tests {
         assert_eq!(from_bits(&g.outputs), 42_000);
         assert_eq!(g.outputs, e.outputs);
         assert_eq!(g.resumes, 0);
+    }
+
+    /// Plays the evaluator's side of the handshake and the real base
+    /// OT, leaving `channel` at the start of the table stream.
+    fn scripted_handshake(c: &Circuit, channel: &mut crate::channel::MemChannel) {
+        let Ok(Message::Header(_)) = read_message(channel) else { panic!("expected Header") };
+        let Ok(Message::GarblerInputs(_)) = read_message(channel) else {
+            panic!("expected GarblerInputs")
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        ot_receive(&vec![false; c.evaluator_inputs() as usize], &mut rng, channel).unwrap();
+    }
+
+    /// Runs a 32-bit adder's garbler, whose reconnect hook always
+    /// declines, against `script` playing the evaluator. A hostile peer
+    /// must end the session in a typed error or a report — the bounded
+    /// wait turns a hang into a test failure.
+    fn garbler_against(
+        config: SessionConfig,
+        script: impl FnOnce(&Circuit, crate::channel::MemChannel) + Send + 'static,
+    ) -> Result<SessionReport, RuntimeError> {
+        let (g_end, e_end) = crate::channel::MemChannel::pair();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let c = adder(32);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let declined = |_: &RuntimeError, _| None;
+            let report =
+                run_garbler_resumable(&c, &to_bits(1, 32), &mut rng, &config, g_end, declined);
+            let _ = done_tx.send(report);
+        });
+        let evaluator = std::thread::spawn(move || script(&adder(32), e_end));
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the garbler hung on a hostile evaluator");
+        evaluator.join().expect("scripted evaluator panicked");
+        report
+    }
+
+    #[test]
+    fn resumable_garbler_refuses_an_ack_past_the_frames_produced() {
+        // Acks are read on the garbler's I/O stage: a cursor past every
+        // frame produced must come back as a typed protocol error after
+        // the join, with the compute stage unblocked.
+        let config =
+            SessionConfig::for_circuit(&adder(32)).with_chunk_tables(2).with_ack_interval(1);
+        let err = garbler_against(config, |c, mut channel| {
+            scripted_handshake(c, &mut channel);
+            let Ok(Message::Tables { seq: 0, .. }) = read_message(&mut channel) else {
+                panic!("expected the first chunk")
+            };
+            write_message(&mut channel, &Message::ChunkAck { upto_seq: 1_000_000 }).unwrap();
+            channel.flush().unwrap();
+            while read_message(&mut channel).is_ok() {}
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::Phased { phase: SessionPhase::Stream, source }
+                if matches!(**source, RuntimeError::Protocol(_))),
+            "{err}"
+        );
+        assert!(err.to_string().contains("acknowledged stream cursor 1000000"), "{err}");
+        assert!(!err.resume_safe(), "a hostile ack is not a transport failure: {err}");
+    }
+
+    #[test]
+    fn resumable_garbler_ignores_a_regressing_ack() {
+        // Every ack after the second is followed by a stale cursor two
+        // frames back; the garbler must skip those and finish normally.
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(1);
+        let report = garbler_against(config, |c, mut channel| {
+            scripted_handshake(c, &mut channel);
+            let mut received = 0u64;
+            loop {
+                match read_message(&mut channel).unwrap() {
+                    Message::Tables { .. } => {
+                        received += 1;
+                        write_message(&mut channel, &Message::ChunkAck { upto_seq: received })
+                            .unwrap();
+                        if received >= 3 {
+                            let stale = Message::ChunkAck { upto_seq: received - 2 };
+                            write_message(&mut channel, &stale).unwrap();
+                        }
+                        channel.flush().unwrap();
+                    }
+                    Message::OutputDecode(decode) => {
+                        let outputs = Message::Outputs(vec![false; decode.len()]);
+                        write_message(&mut channel, &outputs).unwrap();
+                        channel.flush().unwrap();
+                        break;
+                    }
+                    other => panic!("unexpected {}", other.name()),
+                }
+            }
+        })
+        .expect("stale acks are ignored");
+        assert_eq!(report.tables, c.num_and_gates() as u64);
+        assert_eq!(report.resumes, 0);
+        // The buffer itself: a regressing cursor releases nothing more
+        // and moves nothing back.
+        let mut buffer = ReplayBuffer::new();
+        for _ in 0..4 {
+            buffer.push(vec![0]);
+        }
+        buffer.ack(3).unwrap();
+        buffer.ack(1).unwrap();
+        assert_eq!((buffer.acked, buffer.unacked(), buffer.frames.len()), (3, 1, 1));
+    }
+
+    #[test]
+    fn hangup_without_a_resume_hook_surfaces_after_the_join() {
+        // The evaluator vanishes after one chunk. With a one-buffer ring
+        // the compute stage is always waiting on the I/O stage, so the
+        // transport error must unblock it and surface once both stages
+        // have joined.
+        let config =
+            SessionConfig::for_circuit(&adder(32)).with_chunk_tables(1).with_pipeline_depth(1);
+        let err = garbler_against(config, |c, mut channel| {
+            scripted_handshake(c, &mut channel);
+            let Ok(Message::Tables { .. }) = read_message(&mut channel) else {
+                panic!("expected the first chunk")
+            };
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::Phased { phase: SessionPhase::Stream, source }
+                if matches!(**source, RuntimeError::Io(_))),
+            "{err}"
+        );
+        assert!(err.resume_safe(), "a mid-stream hang-up is resumable in kind: {err}");
     }
 }

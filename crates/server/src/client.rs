@@ -301,7 +301,7 @@ fn run_session_resuming<C, F>(
 ) -> Result<SessionReport, RuntimeError>
 where
     C: Channel + Send,
-    F: FnMut() -> Result<C, RuntimeError>,
+    F: FnMut() -> Result<C, RuntimeError> + Send,
 {
     write_request(&mut channel, request).map_err(|e| busy_or(&mut channel, e))?;
     let (chosen, ot_chosen, ticket) =
@@ -391,7 +391,7 @@ pub fn run_session_retrying<C, F>(
 ) -> (Result<SessionReport, RuntimeError>, RetryStats)
 where
     C: Channel + Send,
-    F: FnMut() -> Result<C, RuntimeError>,
+    F: FnMut() -> Result<C, RuntimeError> + Send,
 {
     let mut rng = StdRng::seed_from_u64(policy.seed);
     let mut stats = RetryStats::default();

@@ -272,8 +272,7 @@ pub struct ServerReport {
     pub p99_session_secs: f64,
     /// Mean compute/I/O overlap across successful sessions. Server
     /// sessions are garbler-side, so this aggregates the strict
-    /// send/flush-overlap metric (0 when every session ran serially;
-    /// see `SessionReport::overlap_ratio`).
+    /// send/flush-overlap metric (see `SessionReport::overlap_ratio`).
     pub mean_overlap_ratio: f64,
 }
 

@@ -748,9 +748,13 @@ fn session_body(
     write_ack(&mut *channel, Ok((reorder, ot_mode, ticket)))?;
 
     let telemetry = shared.metrics.session_telemetry(kind.name(), reorder);
+    // The chunk size is pinned against the driver's mid-stream autotune:
+    // served framing stays a function of the request alone, so a banked
+    // and an online session put the same frames on the wire.
     let config = cached
         .config
         .clone()
+        .with_chunk_tables(cached.config.chunk_tables())
         .with_telemetry(telemetry)
         .with_deadlines(shared.config.deadlines)
         .with_ot_mode(ot_mode);

@@ -303,11 +303,10 @@ fn mid_load_scrape_reports_nonzero_throughput_and_utilization() {
 
 #[test]
 fn stall_attribution_reconciles_with_the_streaming_wall_clock() {
-    // The server's resumable garbler streams serially (the replay
-    // buffer must see frames in wire order), so its compute and send
-    // segments must tile the streaming phase's wall clock — generously
-    // bounded because 1-core CI charges scheduler latency to whichever
-    // side resumes last.
+    // The server's garbler runs the pipelined driver: on the driving
+    // thread, garbling plus the waits for the I/O stage must tile the
+    // streaming phase's wall clock — generously bounded because 1-core
+    // CI charges scheduler latency to whichever side resumes last.
     let server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });
     let mut channel = server.connect();
     client::run_session(&mut channel, &request("MatMult", 77)).expect("session succeeds");
@@ -315,19 +314,17 @@ fn stall_attribution_reconciles_with_the_streaming_wall_clock() {
     let outcomes = server.registry().outcomes();
     let report = outcomes[0].result.as_ref().expect("garbler report");
     assert!(report.stream_ns > 0);
-    let accounted = report.compute_ns + report.io_ns + report.io_stall_ns;
+    let accounted = report.compute_ns + report.io_stall_ns;
     let ratio = accounted as f64 / report.stream_ns as f64;
     assert!(
         (0.5..=1.3).contains(&ratio),
-        "compute {} + io {} + io_stall {} must roughly tile stream {} (ratio {ratio:.3})",
+        "compute {} + io_stall {} must roughly tile stream {} (ratio {ratio:.3})",
         report.compute_ns,
-        report.io_ns,
         report.io_stall_ns,
         report.stream_ns
     );
-    // Serial streaming: no ring, so no reported depth (the pipelined
-    // attribution invariants live in the runtime tests).
-    assert_eq!(report.pipeline_depth, 0);
+    // Served sessions overlap compute with I/O on a buffer ring.
+    assert!(report.pipeline_depth >= 1, "depth {}", report.pipeline_depth);
     server.shutdown();
 }
 

@@ -5,14 +5,15 @@
 //!
 //! The matrix per workload:
 //! - label store: slot-slab (plan-driven) vs liveness-retired HashMap;
-//! - session pipeline: overlapped compute/I/O stages vs the serial loop;
+//! - ring depth: the default (autotuned) compute/I/O ring vs a
+//!   one-buffer ring, which strictly alternates garbling and shipping;
 //! - transport: in-process `MemChannel` and real TCP loopback;
 //! - chunk sizes: 1, window/2 (the default slide granularity), the full
 //!   window, and a single chunk larger than the whole table stream.
 //!
 //! Byte identity is checked by recording every byte the garbler hands
 //! the transport and comparing across variants; the maximally different
-//! pair (serial+HashMap vs pipelined+slab) must agree exactly.
+//! pair (one-buffer+HashMap vs full-ring+slab) must agree exactly.
 
 use std::io;
 
@@ -92,8 +93,9 @@ fn pipelined_slab_sessions_are_wire_identical_to_serial_hashmap_sessions() {
         let seed = 0xA11CE + kind as u64;
         let slab = SessionConfig::for_circuit(&w.circuit);
         // Same window/scheme/chunking, but raw-circuit HashMap store and
-        // the strictly alternating loop — the maximally different path.
-        let hashmap = SessionConfig::new(slab.scheme, slab.window).with_pipeline(false);
+        // a one-buffer ring, which strictly alternates garbling and
+        // shipping — the maximally different path.
+        let hashmap = SessionConfig::new(slab.scheme, slab.window).with_pipeline_depth(1);
         for chunk in chunk_sizes(&slab, w.circuit.num_and_gates()) {
             let pipelined = slab.clone().with_chunk_tables(chunk);
             let serial = hashmap.clone().with_chunk_tables(chunk);
@@ -115,7 +117,7 @@ fn pipelined_slab_sessions_are_wire_identical_to_serial_hashmap_sessions() {
             assert_eq!(ea.table_chunks, eb.table_chunks, "{} chunk={chunk}", kind.name());
             // The two stores agree on the streaming residency too.
             assert_eq!(ga.peak_live_wires, gb.peak_live_wires, "{}", kind.name());
-            // Serial sessions must never claim overlap.
+            // A strictly alternating garbler must never claim overlap.
             assert_eq!(gb.overlap_ratio, 0.0);
         }
     }
@@ -154,20 +156,6 @@ fn tcp_loopback_matches_mem_channel_for_every_workload() {
             assert!(report.compute_ns > 0, "{}: unmetered compute", kind.name());
         }
     }
-}
-
-#[test]
-fn serial_tcp_session_still_agrees_with_plaintext() {
-    let w = build_workload(WorkloadKind::Hamming, Scale::Small);
-    let config = SessionConfig::for_circuit(&w.circuit)
-        .with_pipeline(false)
-        .with_chunk_tables((w.circuit.num_and_gates() / 4).max(1));
-    let (g, e) =
-        run_tcp_session(&w.circuit, &w.garbler_bits, &w.evaluator_bits, 4242, &config).unwrap();
-    assert_eq!(g.outputs, w.expected);
-    assert_eq!(e.outputs, w.expected);
-    assert_eq!(g.overlap_ratio, 0.0);
-    assert_eq!(e.overlap_ratio, 0.0);
 }
 
 #[test]
