@@ -192,6 +192,9 @@ fn oorw_sessions_run_end_to_end_over_a_real_channel() {
     let plan = lower_with_window(&c, ReorderKind::Baseline, forced);
     assert!(plan.program.has_oor());
     let config = SessionConfig::from_plan(HashScheme::Rekeyed, std::sync::Arc::new(plan));
+    // Both runs pin the chunk size: the comparison is of exact framing,
+    // which the mid-stream chunk autotune would regroup by timing.
+    let config = config.clone().with_chunk_tables(config.chunk_tables());
     let (g, e) = run_local_session(&c, &g_bits, &e_bits, 77, &config).unwrap();
     assert_eq!(g.outputs, c.eval(&g_bits, &e_bits).unwrap());
     assert_eq!(e.outputs, g.outputs);
