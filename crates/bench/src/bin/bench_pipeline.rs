@@ -245,17 +245,18 @@ fn telemetry_overhead_bench(reps: usize) -> TelemetryOverheadBench {
 /// recorded but not gated. Overlap is what the stages' busy time
 /// exceeds the stream's wall clock by, so a chunk that costs about as
 /// much as the thread handoffs around it (a futex wake and a context
-/// switch) leaves nothing to measure. On a 2-vCPU AES-NI VM over 12
-/// runs, at least one side read > 0 in every run for every workload
-/// with chunks ≥ 80 µs; Hamm (14–21 µs) and ReLU (4–6 µs) read 0 on
-/// both sides.
+/// switch) leaves nothing to measure. On a 2-vCPU AES-NI VM over 18
+/// runs, at least one side read > 0 for the workloads with 82–1259 µs
+/// chunks in every run but one (Triangle, once); Hamm (14–21 µs) and
+/// ReLU (4–6 µs) read 0 on both sides in 13 and 17 runs.
 const OVERLAP_MIN_CHUNK_US: f64 = 50.0;
 
 /// The same floor for the garbler's strict overlap, which needs its
 /// I/O stage on a core while both parties' compute stages are busy.
-/// In the same runs, MatMult (433–738 µs chunks) and GradDesc
-/// (959–1259 µs) read 0.11–0.80 every time; DotProd, Merse, BubbSt and
-/// Triangle (82–328 µs) read 0 in 2 to 10 runs of 12.
+/// In the same runs, MatMult (433–815 µs chunks) and GradDesc
+/// (727–1259 µs) read 0.09–0.80 every time; DotProd (190–306 µs) was
+/// > 0 every time too, but Merse (161–328 µs), BubbSt and Triangle
+/// (82–164 µs) read 0 in 4, 13 and 15 runs of 18.
 const GARBLER_OVERLAP_MIN_CHUNK_US: f64 = 400.0;
 
 /// Repetitions behind each OT row's median labels/s.
