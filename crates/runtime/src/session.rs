@@ -3122,12 +3122,15 @@ mod tests {
 
     #[test]
     fn hangup_without_a_resume_hook_surfaces_after_the_join() {
-        // The evaluator vanishes after one chunk. With a one-buffer ring
-        // the compute stage is always waiting on the I/O stage, so the
-        // transport error must unblock it and surface once both stages
-        // have joined.
-        let config =
-            SessionConfig::for_circuit(&adder(32)).with_chunk_tables(1).with_pipeline_depth(1);
+        // The evaluator vanishes after one chunk, never acking. The ack
+        // window (two frames) holds the garbler mid-stream until then,
+        // and with a one-buffer ring the compute stage is always waiting
+        // on the I/O stage, so the transport error must unblock it and
+        // surface once both stages have joined.
+        let config = SessionConfig::for_circuit(&adder(32))
+            .with_chunk_tables(1)
+            .with_pipeline_depth(1)
+            .with_ack_interval(1);
         let err = garbler_against(config, |c, mut channel| {
             scripted_handshake(c, &mut channel);
             let Ok(Message::Tables { .. }) = read_message(&mut channel) else {
